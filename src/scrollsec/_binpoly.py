@@ -129,14 +129,17 @@ def _shift_sweep(ctx: FieldCtx, k: int) -> int:
     """Deterministic enumeration of field elements for the character split.
 
     Over GF(q^2) a shift from the prime field can never separate a conjugate
-    root pair (conjugates share their norm, hence their character), so the
-    sweep walks the extension component first.
+    root pair (conjugates share their norm, hence their character), and a
+    pure multiple of w cannot separate a pair +-b*w until it reaches +-b.  So
+    the sweep starts with 1 + k*w, which splits both kinds of pair after a few
+    shifts; the map k -> (k // q + 1) % q + q * (k % q) is still a bijection
+    of GF(q^2).
     """
     if ctx.d == 1:
         return k % ctx.size
     q = ctx.q
     k %= ctx.size
-    return (k % q) * q + (k // q)
+    return (k // q + 1) % q + q * (k % q)
 
 
 def _split_linear(ctx: FieldCtx, f, roots):
@@ -176,8 +179,8 @@ def roots_in_field(ctx: FieldCtx, f) -> list[int]:
     return sorted(roots)
 
 
-def roots_base_and_ext(ctx: FieldCtx, f, want_ext: bool):
-    """Roots of a GF(q) polynomial in GF(q) and, optionally, in GF(q^2) \\ GF(q).
+def roots_base_and_ext(ctx: FieldCtx, f):
+    """Roots of a GF(q) polynomial in GF(q) and in GF(q^2) \\ GF(q).
 
     The distinct-degree bookkeeping runs entirely over the prime field; only
     the final extraction of conjugate root pairs touches extension arithmetic.
@@ -187,8 +190,6 @@ def roots_base_and_ext(ctx: FieldCtx, f, want_ext: bool):
     if pdeg(f) < 1:
         return [], None, []
     base_roots = roots_in_field(ctx, f)
-    if not want_ext:
-        return base_roots, None, []
     # peel off the linear factors found over the base field
     rem = f
     for r in base_roots:

@@ -5,6 +5,10 @@ coordinates emitted as decimal strings so no consumer is tempted to read field
 elements as floats.  Identical configuration and seed produce byte-identical
 reports.
 
+Each point is analysed once: `classify` reads the signature and the strata
+from the same cached secant analysis, and no option changes the mathematics
+(the ruling search always covers GF(q) and GF(q^2)).
+
 Exit codes: 0 success/agreement, 2 unclassifiable signature data, 3 label
 disagreement or failed verification, 64 usage/parse errors, 65 point on the
 variety, 66 budget exceeded.
@@ -72,9 +76,9 @@ def _parse_point(text: str, ctx):
     return normalize_point(ctx, vec)
 
 
-def _classify_report(spec, ctx, p, d_max: int):
-    sig, sec, quadric, sample = classify_with_data(spec, ctx, p, d_max)
-    report = stratum_geometric(spec, ctx, p, d_max)
+def _classify_report(spec, ctx, p):
+    sig, _, _, _ = classify_with_data(spec, ctx, p)
+    report = stratum_geometric(spec, ctx, p)
     in_sec = report.in_Sec
     depth = depth_predict(spec, sig, in_sec)
     return {
@@ -114,7 +118,7 @@ def run_classify(args) -> int:
     if contains(spec, ctx, p):
         raise PointOnVarietyError("point lies on the scroll")
     try:
-        result = _classify_report(spec, ctx, p, args.dmax)
+        result = _classify_report(spec, ctx, p)
     except UnclassifiableSignatureError as exc:
         _emit(
             {
@@ -154,7 +158,7 @@ def run_sample(args) -> int:
     for _ in range(args.n):
         p = _random_external_point(spec, ctx, rng)
         try:
-            report = stratum_geometric(spec, ctx, p, args.dmax)
+            report = stratum_geometric(spec, ctx, p)
         except UnclassifiableSignatureError:
             unclassifiable += 1
             continue
@@ -170,7 +174,6 @@ def run_sample(args) -> int:
                 "q": ctx.q,
                 "n": args.n,
                 "seed": args.seed,
-                "dmax": args.dmax,
             },
             "result": {
                 "census": census,
@@ -196,7 +199,7 @@ def run_atlas(args) -> int:
         inside_ok = 0
         for _ in range(args.verify_samples):
             p = sample_inside_locus(entry.locus_kind, spec, ctx, rng)
-            sig, _, _, _ = classify_with_data(spec, ctx, p, args.dmax)
+            sig, _, _, _ = classify_with_data(spec, ctx, p)
             if is_del_pezzo(spec, sig):
                 inside_ok += 1
         outside_acm = 0
@@ -205,7 +208,7 @@ def run_atlas(args) -> int:
             for _ in range(args.verify_samples):
                 p = sample_outside_locus(entry.locus_kind, spec, ctx, rng)
                 outside_total += 1
-                sig, _, _, _ = classify_with_data(spec, ctx, p, args.dmax)
+                sig, _, _, _ = classify_with_data(spec, ctx, p)
                 if is_del_pezzo(spec, sig):
                     outside_acm += 1
         ok = inside_ok == args.verify_samples and outside_acm == 0
@@ -270,8 +273,8 @@ def run_oracle_check(args) -> int:
                     }
                 )
             if d == 2:
-                brep = brute_membership(spec, ctx_d, p, args.budget, args.dmax)
-                frep = stratum_geometric(spec, base_ctx, p, args.dmax)
+                brep = brute_membership(spec, ctx_d, p, args.budget)
+                frep = stratum_geometric(spec, base_ctx, p)
                 if brep != frep:
                     diffs.append(
                         {
@@ -314,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, q_default):
         sp.add_argument("--q", type=int, default=q_default)
-        sp.add_argument("--dmax", type=int, default=2, choices=(1, 2))
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", type=str, default=None)
 

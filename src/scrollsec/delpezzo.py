@@ -37,15 +37,15 @@ from .exactfield import (
     row_reduce,
     span_points,
 )
-from .scroll import ScrollSpec, scroll_literal, scroll_new
+from .scroll import ScrollSpec, contains, scroll_literal, scroll_new
 from .secant import (
     NOT_ON_X,
     SECANT,
     TANGENT_CONTACT,
     SecantSignature,
     classify_with_data,
-    contains_full,
     pair_test_with_generators,
+    validate_point,
 )
 
 __all__ = [
@@ -311,7 +311,7 @@ def sample_inside_locus(entry_kind: str, spec: ScrollSpec, ctx: FieldCtx, rng):
         if not any(coords):
             continue
         p = normalize_point(ctx, coords)
-        if not contains_full(spec, ctx, p):
+        if not contains(spec, ctx, p):
             return p
     raise RuntimeError("could not sample a point inside the locus")
 
@@ -338,7 +338,7 @@ def sample_outside_locus(entry_kind: str, spec: ScrollSpec, ctx: FieldCtx, rng):
         if not any(coords):
             continue
         p = normalize_point(ctx, coords)
-        if contains_full(spec, ctx, p):
+        if contains(spec, ctx, p):
             continue
         if not locus_member(entry_kind, spec, ctx, p):
             return p
@@ -378,20 +378,17 @@ class ProjectionMap:
         return tuple(out)
 
 
-def project(spec: ScrollSpec, ctx: FieldCtx, p, d_max: int = 2, data=None):
+def project(spec: ScrollSpec, ctx: FieldCtx, p):
     """The projection map from p and the non-normal locus of the image.
 
     The non-normal locus is the projected span of the secant locus; its
     projective dimension is exactly one less than the secant cone dimension.
     Degree bookkeeping: the image has degree exceeding its codimension by 2.
     """
-    if data is None:
-        data = classify_with_data(spec, ctx, p, d_max)
-    sig, _, _, sample = data
-    # almost-minimal-degree arithmetic of the image
-    assert spec.deg == (spec.ambient - 1 - spec.dim) + 2
+    p = validate_point(spec, ctx, p)
+    sig, _, _, sample = classify_with_data(spec, ctx, p)
     pivot = next(i for i, x in enumerate(p) if x)
-    pmap = ProjectionMap(ctx, tuple(p), pivot)
+    pmap = ProjectionMap(ctx, p, pivot)
 
     rows = []
     needs_ext = False

@@ -324,9 +324,6 @@ class LinearSubspace:
     def contains(self, v) -> bool:
         return not any(self.reduce(v))
 
-    def basis_points(self):
-        return list(self.rows)
-
 
 def span_points(ctx: FieldCtx, points, ambient: int) -> LinearSubspace:
     """Smallest linear subspace of P^ambient through the given points.
@@ -476,10 +473,6 @@ def qform_rank(form: QForm) -> int:
     """Rank of the Gram matrix; invariant under congruence and field extension."""
     rank, _, _ = row_reduce(form.ctx, [list(r) for r in form.gram], form.n_vars)
     return rank
-
-
-def qform_is_zero(form: QForm) -> bool:
-    return all(not x for row in form.gram for x in row)
 
 
 def qform_normalized_gram(form: QForm):

@@ -72,7 +72,7 @@ def _expected_count(spec: ScrollSpec, size: int) -> int:
     return base * size ** (spec.h + 1) + vert
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def enumerate_points(spec: ScrollSpec, ctx: FieldCtx, budget: int = 10**7) -> PointTable:
     """Every point of the scroll over the field of ctx, each exactly once."""
     size = ctx.size
@@ -197,7 +197,7 @@ def _base_of(ctx: FieldCtx) -> FieldCtx:
 
 
 def brute_membership(
-    spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7, d_max: int = 2
+    spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7
 ) -> MembershipReport:
     """Set memberships by exhaustive enumeration of the defining joins."""
     base_ctx = _base_of(ctx)
@@ -280,7 +280,7 @@ def brute_membership(
         label = "TwoPoints"
     else:
         label = "Empty2Z"
-    sig = classify_signature(spec, _base_of(ctx), p, d_max)
+    sig = classify_signature(spec, _base_of(ctx), p)
     return MembershipReport(
         in_A=in_a,
         in_B=in_b,
@@ -324,7 +324,7 @@ def check_lift_equalities(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**
     """
     problems = []
     base_ctx = _base_of(ctx)
-    _, sec, _, _ = classify_with_data(spec, base_ctx, p, 2)
+    _, sec, _, _ = classify_with_data(spec, base_ctx, p)
     locus = brute_secant_locus(spec, ctx, p, budget)
     vecs = [normalize_point(ctx, p)] + sorted(locus)
     _, brute_rows, _ = row_reduce(ctx, vecs, spec.ambient + 1)

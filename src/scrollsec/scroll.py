@@ -23,6 +23,7 @@ from functools import lru_cache
 
 from .errors import (
     CodimTooSmallError,
+    DimensionMismatchError,
     EmptyTypeError,
     ScrollParseError,
     VertexPointError,
@@ -232,7 +233,7 @@ def _gram_add(ctx: FieldCtx, gram, i: int, j: int, half_coeff: int):
 def contains(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
     """True when every quadric generator vanishes at p."""
     if len(p) != spec.ambient + 1:
-        raise ZeroVectorError("point has the wrong number of coordinates")
+        raise DimensionMismatchError("point has the wrong number of coordinates")
     if not any(p):
         raise ZeroVectorError("zero vector is not a projective point")
     return all(not g.evaluate(p) for g in quadric_generators(spec, ctx))

@@ -24,7 +24,14 @@ the ground field, so its reduced components form a single Galois orbit of size
 at most two (a pair of points, a pair of rulings).  Components of a
 positive-dimensional locus meet every ruling, and the zero-dimensional loci
 sit over at most two rulings, which are then conjugate over GF(q^2) at worst.
-A pair of conjugate entry points is the forcing case.
+A pair of conjugate entry points is the forcing case.  So the search over
+GF(q) and GF(q^2) always runs in full; cutting it at GF(q) would miss exactly
+those chords and report the point as Empty2Z.
+
+Each external point gets one analysis.  `classify_with_data` validates p and
+looks the analysis (signature, cone, quadric, witness sample) up in a small
+cache keyed on the validated point, so the stratum and Del Pezzo code read the
+ruling scan that classification ran instead of running it again.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .exactfield import (
     qform_restrict,
     row_reduce,
 )
-from .scroll import ScrollSpec, quadric_generators, _monomials
+from .scroll import ScrollSpec, contains, quadric_generators, _monomials
 
 __all__ = [
     "NOT_ON_X",
@@ -69,6 +76,7 @@ __all__ = [
     "classify_signature",
     "classify_with_data",
     "secant_locus_points",
+    "validate_point",
 ]
 
 NOT_ON_X = "NotOnX"
@@ -341,7 +349,7 @@ def _fiber_kernel_vectors(spec0: ScrollSpec, ctx_x: FieldCtx, covectors, x):
     return out
 
 
-def _candidate_and_sample_fibers(spec0: ScrollSpec, ctx: FieldCtx, covectors, d_max: int):
+def _candidate_and_sample_fibers(spec0: ScrollSpec, ctx: FieldCtx, covectors):
     """Find every ruling that can meet the locus.
 
     Returns (all_active, fibers) where fibers is a list of
@@ -368,7 +376,7 @@ def _candidate_and_sample_fibers(spec0: ScrollSpec, ctx: FieldCtx, covectors, d_
     # exceptional rulings: roots of the pivot polynomials, plus infinity
     try_fiber((0, 1), ctx)
     for pivot in pivots:
-        base_roots, ctx2, ext_roots = bp.roots_base_and_ext(ctx, pivot, d_max >= 2)
+        base_roots, ctx2, ext_roots = bp.roots_base_and_ext(ctx, pivot)
         for r in base_roots:
             try_fiber((1, r), ctx)
         for r in ext_roots:
@@ -379,16 +387,6 @@ def _candidate_and_sample_fibers(spec0: ScrollSpec, ctx: FieldCtx, covectors, d_
         for tau in range(min(8, ctx.q)):
             try_fiber((1, tau), ctx)
     return all_active, tuple(fibers)
-
-
-@lru_cache(maxsize=4096)
-def _scan_for_point(spec0: ScrollSpec, ctx: FieldCtx, pbar, d_max: int, tangency: bool):
-    """Cached ruling scan; shared by classification and the membership tests."""
-    if tangency:
-        covectors = _tangency_covectors(spec0, ctx, pbar)
-    else:
-        covectors = _secant_covectors(spec0, ctx, pbar)
-    return _candidate_and_sample_fibers(spec0, ctx, covectors, d_max)
 
 
 def _lift_rows(spec: ScrollSpec, base_rows):
@@ -426,7 +424,7 @@ def fiber_secant_space(spec: ScrollSpec, ctx: FieldCtx, p, x) -> LinearSubspace:
 
     Possibly just the vertex subspace, possibly empty for smooth scrolls.
     """
-    if contains_full(spec, ctx, p):
+    if contains(spec, ctx, p):
         raise PointOnVarietyError("p lies on the scroll")
     s, t = x
     if not s and not t:
@@ -442,27 +440,35 @@ def fiber_secant_space(spec: ScrollSpec, ctx: FieldCtx, p, x) -> LinearSubspace:
     return LinearSubspace(ctx, spec.ambient, tuple(ech))
 
 
-def contains_full(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
-    gens = quadric_generators(spec, ctx)
-    return not any(g.evaluate(p) for g in gens)
+def validate_point(spec: ScrollSpec, ctx: FieldCtx, p) -> tuple:
+    """p with coordinates reduced mod the field size, as a tuple, checked to
+    lie off the scroll.
 
-
-def secant_cone_and_quadric(spec: ScrollSpec, ctx: FieldCtx, p, d_max: int = 2):
-    """Secant cone of p, the hyperquadric cutting the locus on it, and witnesses.
-
-    Returns (sec, quadric, sample): sec is a linear subspace containing p, the
-    quadric lives on sec's basis coordinates, and the zero set of the quadric
-    on sec is exactly the secant locus.  All nonzero generator restrictions to
-    sec must be pairwise proportional; a violation raises
-    UnclassifiableSignatureError rather than guessing.
+    A wrong number of coordinates raises DimensionMismatchError, the zero
+    vector ZeroVectorError and a point of the scroll PointOnVarietyError.
     """
-    if len(p) != spec.ambient + 1:
-        raise ZeroVectorError("point has the wrong number of coordinates")
-    if contains_full(spec, ctx, p):
+    p = tuple(x % ctx.size for x in p)
+    if contains(spec, ctx, p):
         raise PointOnVarietyError("p lies on the scroll")
+    return p
+
+
+def classify_with_data(spec: ScrollSpec, ctx: FieldCtx, p):
+    """The analysis of p: (signature, secant cone, quadric, witness sample).
+
+    Validates p, then reads the analysis from a cache keyed on the validated
+    point; every other public view of the secant locus goes through here.
+    """
+    return _analysis(spec, ctx, validate_point(spec, ctx, p))
+
+
+@lru_cache(maxsize=64)
+def _analysis(spec: ScrollSpec, ctx: FieldCtx, p: tuple):
     spec0 = spec.base()
     pbar = reduced_point(spec, p)
-    all_active, fibers = _scan_for_point(spec0, ctx, pbar, d_max, False)
+    all_active, fibers = _candidate_and_sample_fibers(
+        spec0, ctx, _secant_covectors(spec0, ctx, pbar)
+    )
 
     needs_ext = any(fctx.d == 2 for _, fctx, _ in fibers)
     span_ctx = extension_of(ctx) if needs_ext else ctx
@@ -517,12 +523,7 @@ def secant_cone_and_quadric(spec: ScrollSpec, ctx: FieldCtx, p, d_max: int = 2):
         for v in vecs:
             points.append(normalize_point(fctx, tuple([0] * vs + list(v))))
     sample = SecantSample(tuple(points), tuple(records), all_active)
-    return sec, quadric, sample
 
-
-def classify_with_data(spec: ScrollSpec, ctx: FieldCtx, p, d_max: int = 2):
-    """classify_signature plus the underlying cone/quadric/sample data."""
-    sec, quadric, sample = secant_cone_and_quadric(spec, ctx, p, d_max)
     h = spec.h
     s = sec.pdim - h - 1
     rank = qform_rank(quadric)
@@ -545,9 +546,21 @@ def classify_with_data(spec: ScrollSpec, ctx: FieldCtx, p, d_max: int = 2):
     return sig, sec, quadric, sample
 
 
-def classify_signature(spec: ScrollSpec, ctx: FieldCtx, p, d_max: int = 2) -> SecantSignature:
+def secant_cone_and_quadric(spec: ScrollSpec, ctx: FieldCtx, p):
+    """Secant cone of p, the hyperquadric cutting the locus on it, and witnesses.
+
+    Returns (sec, quadric, sample): sec is a linear subspace containing p, the
+    quadric lives on sec's basis coordinates, and the zero set of the quadric
+    on sec is exactly the secant locus.  All nonzero generator restrictions to
+    sec must be pairwise proportional; a violation raises
+    UnclassifiableSignatureError rather than guessing.
+    """
+    return classify_with_data(spec, ctx, p)[1:]
+
+
+def classify_signature(spec: ScrollSpec, ctx: FieldCtx, p) -> SecantSignature:
     """Signature (dim of secant cone, quadric rank, label, locus dim, depth)."""
-    return classify_with_data(spec, ctx, p, d_max)[0]
+    return classify_with_data(spec, ctx, p)[0]
 
 
 def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**7):
@@ -556,10 +569,12 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     Exhaustive over the rulings of that field: still the fiber-linear fast
     path, used for set-level comparison against the brute-force oracle.
     """
+    from .oracle import _line_points
+
     spec0 = spec.base()
     pbar = reduced_point(spec, p)
     base_ctx = ctx_d if ctx_d.d == 1 else field_make(ctx_d.q, 1)
-    if contains_full(spec, base_ctx, p):
+    if contains(spec, base_ctx, p):
         raise PointOnVarietyError("p lies on the scroll")
     covectors = _secant_covectors(spec0, base_ctx, pbar)
     size = ctx_d.size
@@ -569,9 +584,9 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     pts = set()
     vs = spec.vertex_size
     if vs:
-        for w in _subspace_points(ctx_d, _vertex_rows(spec), spec.ambient):
+        for w in _subspace_points(ctx_d, _lift_rows(spec, ()), spec.ambient):
             pts.add(w)
-    for x in _proj_line_points(ctx_d):
+    for x in _line_points(ctx_d):
         vecs = _fiber_kernel_vectors(spec0, ctx_d, covectors, x)
         if not vecs:
             continue
@@ -580,22 +595,6 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
         for w in _subspace_points(ctx_d, ech, spec.ambient):
             pts.add(w)
     return pts
-
-
-def _vertex_rows(spec: ScrollSpec):
-    nv = spec.ambient + 1
-    rows = []
-    for i in range(spec.vertex_size):
-        e = [0] * nv
-        e[i] = 1
-        rows.append(tuple(e))
-    return rows
-
-
-def _proj_line_points(ctx: FieldCtx):
-    yield (0, 1)
-    for t in range(ctx.size):
-        yield (1, t)
 
 
 def _subspace_points(ctx: FieldCtx, rows, ambient: int):
@@ -625,23 +624,3 @@ def _subspace_points(ctx: FieldCtx, rows, ambient: int):
                 pos -= 1
             if pos < 0:
                 break
-
-
-def tangency_fiber_exists(spec: ScrollSpec, ctx: FieldCtx, p, d_max: int = 2) -> bool:
-    """True when some ruling carries a point whose tangent space contains p.
-
-    Runs on the smooth reduction; this is the membership test for the join of
-    the vertex with the tangent variety of the base scroll.
-    """
-    spec0 = spec.base()
-    pbar = reduced_point(spec, p)
-    all_active, fibers = _scan_for_point(spec0, ctx, pbar, d_max, True)
-    return all_active or bool(fibers)
-
-
-def secant_fiber_exists(spec: ScrollSpec, ctx: FieldCtx, p, d_max: int = 2) -> bool:
-    """True when some ruling meets the secant locus of p on the smooth reduction."""
-    spec0 = spec.base()
-    pbar = reduced_point(spec, p)
-    all_active, fibers = _scan_for_point(spec0, ctx, pbar, d_max, False)
-    return all_active or bool(fibers)

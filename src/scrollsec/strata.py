@@ -19,6 +19,11 @@ vector of one common ruling.  The degree-1 blocks are unconstrained.  That
 closed form is a derived fact, not an assumption; the brute-force oracle
 checks it over small fields.
 
+Tan is decided by its own ruling scan, run once per call.  Sec and the
+signature the stratum label is checked against are read from the one cached
+secant analysis of p (`secant.classify_with_data`), so a point's secant locus
+is computed once however many of these tests ask about it.
+
 The stratum decision tree runs in the fixed order
 quadric-surface / two-lines / conic / double-point / two-points / empty, so a
 bug making two raw predicates true would surface as a loud disagreement with
@@ -29,15 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PointOnVarietyError
 from .exactfield import FieldCtx
-from .scroll import ScrollSpec
+from .scroll import ScrollSpec, contains
 from .secant import (
+    _candidate_and_sample_fibers,
+    _tangency_covectors,
     classify_signature,
-    contains_full,
+    classify_with_data,
     reduced_point,
-    secant_fiber_exists,
-    tangency_fiber_exists,
+    validate_point,
 )
 
 __all__ = [
@@ -119,7 +124,7 @@ def member_B(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
     spec0 = spec.base()
     if spec.k == 0:
         # no degree-1 blocks: the join degenerates to the scroll itself
-        return contains_full(spec0, ctx, pbar)
+        return contains(spec0, ctx, pbar)
     x = None
     for _, start, ai in _block_slices(spec0, 2, 10**9):
         block = tuple(pbar[start + j] for j in range(ai + 1))
@@ -153,29 +158,34 @@ def _geometric_ratio(ctx: FieldCtx, block):
     return None
 
 
-def member_tangent(spec: ScrollSpec, ctx: FieldCtx, p, d_max: int = 2) -> bool:
-    """p lies in the join of the vertex with the tangent variety of the base."""
-    return tangency_fiber_exists(spec, ctx, p, d_max)
+def member_tangent(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
+    """p lies in the join of the vertex with the tangent variety of the base:
+    some ruling carries a point whose tangent space contains p."""
+    spec0 = spec.base()
+    covectors = _tangency_covectors(spec0, ctx, reduced_point(spec, p))
+    all_active, fibers = _candidate_and_sample_fibers(spec0, ctx, covectors)
+    return all_active or bool(fibers)
 
 
-def member_secant_variety(spec: ScrollSpec, ctx: FieldCtx, p, d_max: int = 2) -> bool:
-    """p lies in the join of the vertex with the secant variety of the base."""
-    return secant_fiber_exists(spec, ctx, p, d_max)
+def member_secant_variety(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
+    """p lies in the join of the vertex with the secant variety of the base:
+    some ruling meets the secant locus of p."""
+    sample = classify_with_data(spec, ctx, p)[3]
+    return sample.all_fibers_active or bool(sample.fiber_records)
 
 
-def stratum_geometric(spec: ScrollSpec, ctx: FieldCtx, p, d_max: int = 2) -> MembershipReport:
+def stratum_geometric(spec: ScrollSpec, ctx: FieldCtx, p) -> MembershipReport:
     """Stratum of p from the set memberships alone, plus the agreement flag.
 
     Decision order: quadric surface (A), two lines (B), conic (U), double
     point (tangent side), two points (secant side), empty.
     """
-    if contains_full(spec, ctx, p):
-        raise PointOnVarietyError("p lies on the scroll")
+    p = validate_point(spec, ctx, p)
     in_a = member_A(spec, ctx, p)
     in_b = member_B(spec, ctx, p)
     in_u = member_U(spec, ctx, p)
-    in_tan = member_tangent(spec, ctx, p, d_max)
-    in_sec = member_secant_variety(spec, ctx, p, d_max)
+    in_tan = member_tangent(spec, ctx, p)
+    in_sec = member_secant_variety(spec, ctx, p)
     if in_a:
         label = "QuadricSurface"
     elif in_b:
@@ -188,7 +198,7 @@ def stratum_geometric(spec: ScrollSpec, ctx: FieldCtx, p, d_max: int = 2) -> Mem
         label = "TwoPoints"
     else:
         label = "Empty2Z"
-    sig = classify_signature(spec, ctx, p, d_max)
+    sig = classify_signature(spec, ctx, p)
     return MembershipReport(
         in_A=in_a,
         in_B=in_b,

@@ -6,7 +6,6 @@ from conftest import external_point
 from scrollsec import (
     ZeroMatrixError,
     classify_signature,
-    classify_with_data,
     depth_predict,
     field_make,
     is_del_pezzo,
@@ -207,6 +206,12 @@ def test_project_tangent_point(f7, s3):
     assert nonnormal.pdim == 0
 
 
+def test_project_reduces_coordinates(f7, s3):
+    # 7 = 0 in GF(7): the projection must not pivot on that coordinate
+    _, nonnormal = project(s3, f7, (7, 1, 0, 0))
+    assert nonnormal == project(s3, f7, (0, 1, 0, 0))[1]
+
+
 def test_project_dimension_matches_signature():
     ctx = field_make(101, 1)
     rng = random.Random(4)
@@ -214,11 +219,10 @@ def test_project_dimension_matches_signature():
         spec = scroll_new(a, h)
         for _ in range(10):
             p = external_point(spec, ctx, rng)
-            data = classify_with_data(spec, ctx, p)
-            sig = data[0]
+            sig = classify_signature(spec, ctx, p)
             if spec.h == -1 and sig.label == "Empty2Z":
                 continue
-            _, nonnormal = project(spec, ctx, p, data=data)
+            _, nonnormal = project(spec, ctx, p)
             assert nonnormal.pdim == sig.sec_dim - 1
 
 

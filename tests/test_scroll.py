@@ -4,6 +4,7 @@ import pytest
 
 from scrollsec import (
     CodimTooSmallError,
+    DimensionMismatchError,
     ScrollParseError,
     ScrollPoint,
     VertexPointError,
@@ -130,6 +131,8 @@ def test_contains_spec_examples(f7, s3):
     assert contains(cone, f7, (1, 0, 0, 0, 0))
     with pytest.raises(ZeroVectorError):
         contains(s3, f7, (0, 0, 0, 0))
+    with pytest.raises(DimensionMismatchError):
+        contains(s3, f7, (1, 0, 0, 1, 0))
 
 
 def test_embedded_points_satisfy_generators():

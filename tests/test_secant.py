@@ -4,7 +4,9 @@ import pytest
 
 from conftest import external_point
 from scrollsec import (
+    DimensionMismatchError,
     PointOnVarietyError,
+    ZeroVectorError,
     classify_signature,
     classify_with_data,
     contains,
@@ -15,6 +17,7 @@ from scrollsec import (
     scroll_new,
     secant_cone_and_quadric,
     secant_pair_test,
+    stratum_geometric,
     subspace_contains,
 )
 from scrollsec.secant import (
@@ -177,6 +180,17 @@ def test_classify_rejects_point_on_scroll(f7, s3):
         classify_signature(cone, f7, (1, 0, 0, 0, 0))
 
 
+def test_classify_validates_the_point(f7, s3):
+    with pytest.raises(DimensionMismatchError):
+        classify_with_data(s3, f7, (1, 0, 0, 1, 0))
+    with pytest.raises(ZeroVectorError):
+        classify_with_data(s3, f7, (0, 0, 0, 0))
+    with pytest.raises(ZeroVectorError):
+        classify_with_data(s3, f7, (7, 0, 14, 0))
+    # coordinates are reduced mod q and lists are accepted
+    assert classify_with_data(s3, f7, [8, 0, 0, -6]) == classify_with_data(s3, f7, (1, 0, 0, 1))
+
+
 def test_conjugate_two_points_needs_extension():
     # a chord through two conjugate points of the twisted cubic over GF(25)
     f5 = field_make(5, 1)
@@ -188,11 +202,11 @@ def test_conjugate_two_points_needs_extension():
     p = tuple(f25.add(a, b) for a, b in zip(q1, q2))
     assert all(f25.is_base(x) for x in p)
     assert not contains(s3, f5, p)
-    sig = classify_signature(s3, f5, p, d_max=2)
+    sig, _, _, sample = classify_with_data(s3, f5, p)
     assert sig.label == "TwoPoints"
-    # with the extension search turned off the chord is invisible
-    sig1 = classify_signature(s3, f5, p, d_max=1)
-    assert sig1.label == "Empty2Z"
+    # the chord is visible only over GF(q^2): both rulings it meets are conjugate
+    assert sample.fiber_records
+    assert all(rec.ctx.d == 2 for rec in sample.fiber_records)
 
 
 def _pow(ctx, x, k):
@@ -304,3 +318,29 @@ def test_classify_with_data_consistency(f7):
             for row in rec.space.rows:
                 if rec.ctx.d == 1:
                     assert subspace_contains(sec, row)
+
+
+def test_one_secant_scan_and_one_tangency_scan_per_point(monkeypatch, f7):
+    from scrollsec import secant, strata
+
+    spec = scroll_new([1, 2], 0)
+    p = external_point(spec, f7, random.Random(8))
+    scans = []
+
+    def counted(module, name, kind):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            scans.append(kind)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(secant, "_secant_covectors", "secant")
+    counted(strata, "_tangency_covectors", "tangency")
+    counted(secant, "_candidate_and_sample_fibers", "scan")
+    counted(strata, "_candidate_and_sample_fibers", "scan")
+    secant._analysis.cache_clear()
+    classify_with_data(spec, f7, p)
+    stratum_geometric(spec, f7, p)
+    assert sorted(scans) == ["scan", "scan", "secant", "tangency"]

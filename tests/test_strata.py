@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -282,3 +283,34 @@ def test_member_B_matches_join_enumeration():
                 fast = member_B(spec, ctx, p)
                 brute = brute_membership(spec, ctx2, p).in_B
                 assert fast == brute, (q, a, h, p)
+
+
+def _exterior(spec, ctx):
+    """Every point of the ambient space off the scroll, normalized."""
+    for v in itertools.product(range(ctx.q), repeat=spec.ambient + 1):
+        if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1:
+            if not contains(spec, ctx, v):
+                yield v
+
+
+def _census(spec, ctx):
+    counts = {}
+    for p in _exterior(spec, ctx):
+        rep = stratum_geometric(spec, ctx, p)
+        assert rep.agrees_with_signature, p
+        counts[rep.label_geom] = counts.get(rep.label_geom, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_twisted_cubic_exterior_census(q):
+    # tangent lines and real plus imaginary chords (Hirschfeld's orbit counts)
+    counts = _census(scroll_new([3]), field_make(q, 1))
+    assert counts == {"DoublePoint": q * q + q, "TwoPoints": q**3 - q}
+
+
+def test_s111_exterior_is_all_quadric_surface():
+    f3 = field_make(3, 1)
+    counts = _census(scroll_new([1, 1, 1]), f3)
+    # the points of P^5 minus those of the Segre threefold P^1 x P^2
+    assert counts == {"QuadricSurface": (3**6 - 1) // 2 - 4 * 13}
