@@ -128,18 +128,20 @@ def ppowmod(ctx: FieldCtx, base, e: int, mod):
 def _shift_sweep(ctx: FieldCtx, k: int) -> int:
     """Deterministic enumeration of field elements for the character split.
 
-    Over GF(q^2) a shift from the prime field can never separate a conjugate
-    root pair (conjugates share their norm, hence their character), and a
-    pure multiple of w cannot separate a pair +-b*w until it reaches +-b.  So
-    the sweep starts with 1 + k*w, which splits both kinds of pair after a few
-    shifts; the map k -> (k // q + 1) % q + q * (k % q) is still a bijection
-    of GF(q^2).
+    Over GF(q) the sweep is 0, 1, 2, ...  Over GF(q^2) no sweep along a line
+    of shifts c + k*w works for every input: a conjugate pair -c +- b*w keeps
+    one character on the whole line, and the pairs r, -conj(r) - 2c of a
+    quartic never split on it.  So the sweep steps through GF(q^2) by a fixed
+    multiplier whose two coordinates are about 0.618 q and 0.414 q.  Its
+    shifts do not run along one line, and a pair of roots of any of those
+    families splits after about two of them.  The multiplier is a unit mod
+    q^2, so k -> (k + 1) * step is still a bijection of GF(q^2).
     """
     if ctx.d == 1:
         return k % ctx.size
     q = ctx.q
-    k %= ctx.size
-    return (k // q + 1) % q + q * (k % q)
+    step = round(q * 0.6180339887) + q * round(q * 0.4142135624)
+    return (k + 1) * step % ctx.size
 
 
 def _split_linear(ctx: FieldCtx, f, roots):

@@ -10,11 +10,7 @@ def test_shift_sweep_is_a_bijection():
             assert shifts == list(range(ctx.size))
 
 
-def test_conjugate_pair_splits_in_few_shifts(monkeypatch):
-    # x^2 - (b*w)^2 has the roots +-b*w; shifts that are multiples of w would
-    # give both roots the same character until they reached +-b
-    q, b = 10007, 5000
-    ctx2 = field_make(q, 2)
+def _counted_ppowmod(monkeypatch):
     calls = []
     real = bp.ppowmod
 
@@ -23,6 +19,41 @@ def test_conjugate_pair_splits_in_few_shifts(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(bp, "ppowmod", counted)
-    f = [(-b * b * ctx2.c) % q, 0, 1]
-    assert bp.roots_in_field(ctx2, f) == [q * b, q * (q - b)]
-    assert len(calls) <= 10
+    return calls
+
+
+def test_conjugate_pair_splits_in_few_shifts(monkeypatch):
+    # (x - a)^2 - (b*w)^2 has the roots a +- b*w.  A sweep of shifts along a
+    # line c + k*w keeps both roots of the pair -c +- b*w on one character
+    # until it reaches them, so a = 0 and a = -1 are the cases that once took
+    # thousands of attempts; the others guard against a sweep along another line.
+    q = 10007
+    ctx2 = field_make(q, 2)
+    calls = _counted_ppowmod(monkeypatch)
+    for a in (0, q - 1, 1, 2, q - 2):
+        for b in (1, 2, 5000, q - 1):
+            for real_part in (a, b, q - b):
+                del calls[:]
+                f = [(real_part * real_part - b * b * ctx2.c) % q, (-2 * real_part) % q, 1]
+                roots = [real_part + q * b, real_part + q * (q - b)]
+                assert bp.roots_in_field(ctx2, f) == sorted(roots)
+                assert len(calls) <= 12, (real_part, b, len(calls))
+
+
+def test_quartic_pairs_split_in_few_shifts(monkeypatch):
+    # two conjugate pairs r, conj(r) and -conj(r) - 2c, -r - 2c share their
+    # characters on every shift c + k*w
+    q = 10007
+    ctx2 = field_make(q, 2)
+    calls = _counted_ppowmod(monkeypatch)
+    for c in (0, 1, 2):
+        for a, b in ((3, 7), (q - 1, 5000), (1234, 4321)):
+            r = a + q * b
+            roots = {r, ctx2.conj(r)}
+            roots |= {ctx2.sub(ctx2.neg(x), 2 * c % q) for x in set(roots)}
+            f = [1]
+            for x in roots:
+                f = bp.pmul(ctx2, f, [ctx2.neg(x), 1])
+            del calls[:]
+            assert bp.roots_in_field(ctx2, f) == sorted(roots)
+            assert len(calls) <= 16, (c, a, b, len(calls))
