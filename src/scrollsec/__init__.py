@@ -6,6 +6,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyTypeError,
     EvenCharacteristicError,
+    InvariantError,
     NonPrimeError,
     PointOnVarietyError,
     ScrollParseError,

@@ -1,14 +1,35 @@
-"""Dense univariate polynomial arithmetic over a FieldCtx, with root finding.
+"""Dense univariate polynomials over a prime field GF(q), with root finding.
 
-Polynomials are little-endian coefficient lists of packed field elements.
-Root finding follows the usual split: gcd with x^|F| - x isolates the part
-that splits over the field, and a deterministic sweep of Legendre-character
-splits extracts the roots.  Degrees here stay tiny (bounded by the scroll
-degree), so none of this needs to be asymptotically clever.
+Polynomials are little-endian lists of plain ints in [0, q), and every kernel
+takes the prime q itself: the arithmetic is inline `% q`, with no FieldCtx
+dispatch.  Degrees stay tiny (bounded by the scroll degree).
+
+Only prime-field polynomials are ever factored.  A root z of f in
+GF(q^2) \\ GF(q) has a minimal polynomial over GF(q) of degree 2, an
+irreducible quadratic factor of f, and its conjugate z^q is the other root of
+that factor.  So f splits over GF(q) into linear and irreducible quadratic
+factors (the rest has no roots in GF(q^2)), and each quadratic is solved by
+formula:
+
+* a linear factor f1*x + f0 has the root -f0/f1;
+* a monic x^2 + b*x + e has the discriminant D = b^2 - 4e.  D = 0 gives the
+  double root -b/2; a residue D gives (-b +- sqrt(D))/2 by Tonelli-Shanks; a
+  non-residue D gives the conjugate pair (-b +- y*w)/2 with y^2 = D/c, where
+  w^2 = c is the extension's non-residue (see `exactfield`).
+
+For degree 3 and more, x^q mod f by square and multiply gives
+g1 = gcd(x^q - x, f), the product of the distinct linear factors.  With those
+roots peeled off f, x^(q^2) mod the rest is x^q composed with itself
+(modular composition, von zur Gathen and Shoup 1992), and
+g2 = gcd(x^(q^2) - x, rest) is the product of the distinct irreducible
+quadratics.  Cantor-Zassenhaus (1981) splits g1 and g2 into pieces of degree
+at most 2: over GF(q^d) the roots z with chi(z + k) = 1 lie in
+gcd((x + k)^((q^d - 1)/2) - 1, g) for the shifts k = 0, 1, 2, ...
 """
 
 from __future__ import annotations
 
+from .errors import InvariantError
 from .exactfield import FieldCtx, extension_of
 
 
@@ -24,190 +45,137 @@ def pdeg(f) -> int:
     return len(f) - 1
 
 
-def padd(ctx: FieldCtx, f, g):
+def psub(q: int, f, g):
     n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out.append(ctx.add(a, b))
-    return pnorm(out)
+    f = list(f) + [0] * (n - len(f))
+    g = list(g) + [0] * (n - len(g))
+    return pnorm([(a - b) % q for a, b in zip(f, g)])
 
 
-def psub(ctx: FieldCtx, f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out.append(ctx.sub(a, b))
-    return pnorm(out)
-
-
-def pscale(ctx: FieldCtx, s, f):
-    if not s:
-        return []
-    return pnorm([ctx.mul(s, a) if a else 0 for a in f])
-
-
-def pmul(ctx: FieldCtx, f, g):
+def pmul(q: int, f, g):
     if not f or not g:
         return []
     out = [0] * (len(f) + len(g) - 1)
-    mul, add = ctx.mul, ctx.add
     for i, a in enumerate(f):
-        if not a:
-            continue
-        for j, b in enumerate(g):
-            if b:
-                out[i + j] = add(out[i + j], mul(a, b))
-    return pnorm(out)
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return pnorm([x % q for x in out])
 
 
-def pdivmod(ctx: FieldCtx, f, g):
-    g = pnorm(list(g))
+def pdivmod(q: int, f, g):
+    g = pnorm(g)
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    f = list(pnorm(list(f)))
+    f = pnorm(list(f))
     dg = len(g) - 1
     if len(f) - 1 < dg:
         return [], f
-    inv_lead = ctx.inv(g[-1])
+    inv_lead = pow(g[-1], q - 2, q)
     quot = [0] * (len(f) - dg)
-    mul, sub = ctx.mul, ctx.sub
     for k in range(len(f) - dg - 1, -1, -1):
-        c = f[k + dg]
-        if not c:
-            continue
-        c = mul(c, inv_lead)
-        quot[k] = c
-        for j in range(dg + 1):
-            if g[j]:
-                f[k + j] = sub(f[k + j], mul(c, g[j]))
-    return pnorm(quot), pnorm(f)
+        c = f[k + dg] * inv_lead % q
+        if c:
+            quot[k] = c
+            for j in range(dg):
+                f[k + j] = (f[k + j] - c * g[j]) % q
+    return pnorm(quot), pnorm(f[:dg])
 
 
-def pmod(ctx: FieldCtx, f, g):
-    return pdivmod(ctx, f, g)[1]
+def pmod(q: int, f, g):
+    return pdivmod(q, f, g)[1]
 
 
-def pmonic(ctx: FieldCtx, f):
+def pmonic(q: int, f):
     f = pnorm(list(f))
     if not f or f[-1] == 1:
         return f
-    return pscale(ctx, ctx.inv(f[-1]), f)
+    s = pow(f[-1], q - 2, q)
+    return [a * s % q for a in f]
 
 
-def pgcd(ctx: FieldCtx, f, g):
+def pgcd(q: int, f, g):
     a, b = pnorm(list(f)), pnorm(list(g))
     while b:
-        a, b = b, pmod(ctx, a, b)
-    return pmonic(ctx, a)
+        a, b = b, pmod(q, a, b)
+    return pmonic(q, a)
 
 
-def peval(ctx: FieldCtx, f, x: int) -> int:
-    acc = 0
-    mul, add = ctx.mul, ctx.add
-    for c in reversed(f):
-        acc = add(mul(acc, x), c)
-    return acc
-
-
-def ppowmod(ctx: FieldCtx, base, e: int, mod):
+def ppowmod(q: int, base, e: int, mod):
     """base^e mod `mod` by square and multiply."""
     result = [1]
-    base = pmod(ctx, base, mod)
+    base = pmod(q, base, mod)
     while e:
         if e & 1:
-            result = pmod(ctx, pmul(ctx, result, base), mod)
-        base = pmod(ctx, pmul(ctx, base, base), mod)
+            result = pmod(q, pmul(q, result, base), mod)
+        base = pmod(q, pmul(q, base, base), mod)
         e >>= 1
     return result
 
 
-def _shift_sweep(ctx: FieldCtx, k: int) -> int:
-    """Deterministic enumeration of field elements for the character split.
+def _compose(q: int, f, g, mod):
+    """f(g) mod `mod` by Horner."""
+    acc = []
+    for a in reversed(f):
+        acc = pmul(q, acc, g) or [0]
+        acc[0] = (acc[0] + a) % q
+        acc = pmod(q, acc, mod)
+    return acc
 
-    Over GF(q) the sweep is 0, 1, 2, ...  Over GF(q^2) no sweep along a line
-    of shifts c + k*w works for every input: a conjugate pair -c +- b*w keeps
-    one character on the whole line, and the pairs r, -conj(r) - 2c of a
-    quartic never split on it.  So the sweep steps through GF(q^2) by a fixed
-    multiplier whose two coordinates are about 0.618 q and 0.414 q.  Its
-    shifts do not run along one line, and a pair of roots of any of those
-    families splits after about two of them.  The multiplier is a unit mod
-    q^2, so k -> (k + 1) * step is still a bijection of GF(q^2).
-    """
-    if ctx.d == 1:
-        return k % ctx.size
+
+def _split(ctx: FieldCtx, g, d: int, base, ext) -> None:
+    """Append the roots of g to base and ext.  g is monic, of degree at most 2
+    or a product of distinct irreducibles of degree d (1 or 2) over GF(q)."""
     q = ctx.q
-    step = round(q * 0.6180339887) + q * round(q * 0.4142135624)
-    return (k + 1) * step % ctx.size
-
-
-def _split_linear(ctx: FieldCtx, f, roots):
-    """Extract all roots of f, assuming f splits into distinct linear factors."""
-    f = pmonic(ctx, f)
-    if pdeg(f) <= 0:
-        return
-    if pdeg(f) == 1:
-        roots.append(ctx.neg(f[0]))
-        return
-    if not f[0]:
-        roots.append(0)
-        _split_linear(ctx, pdivmod(ctx, f, [0, 1])[0], roots)
-        return
-    half = (ctx.size - 1) // 2
-    for k in range(ctx.size + 1):
-        # character split: roots with chi(root + shift) = 1 land in the gcd
-        shift = _shift_sweep(ctx, k)
-        power = ppowmod(ctx, [shift, 1], half, f)
-        g = pgcd(ctx, psub(ctx, power, [1]), f)
-        if 0 < pdeg(g) < pdeg(f):
-            _split_linear(ctx, g, roots)
-            _split_linear(ctx, pdivmod(ctx, f, g)[0], roots)
-            return
-    raise RuntimeError("character split failed to separate roots")
-
-
-def roots_in_field(ctx: FieldCtx, f) -> list[int]:
-    """All roots of f in GF(q^d), sorted.  f need not be squarefree."""
-    f = pnorm(list(f))
-    if pdeg(f) < 1:
-        return []
-    xq = ppowmod(ctx, [0, 1], ctx.size, f)
-    g = pgcd(ctx, psub(ctx, xq, [0, 1]), f)
-    roots: list[int] = []
-    _split_linear(ctx, g, roots)
-    return sorted(roots)
+    if pdeg(g) == 1:
+        base.append(-g[0] % q)
+    elif pdeg(g) == 2:
+        half = (q + 1) // 2
+        disc = (g[1] * g[1] - 4 * g[0]) % q
+        s = ctx.sqrt_base(disc)
+        if s is not None:
+            base.extend({(s - g[1]) * half % q, (-s - g[1]) * half % q})
+        else:
+            # disc = y^2 * c with w^2 = c, so sqrt(disc) = y*w
+            y = ctx.sqrt_base(disc * pow(extension_of(ctx).c, q - 2, q)) * half % q
+            a0 = -g[1] * half % q
+            ext.extend([a0 + q * y, a0 + q * (-y % q)])
+    elif pdeg(g) > 2:
+        e = (q**d - 1) // 2
+        for k in range(q):
+            h = pgcd(q, psub(q, ppowmod(q, [k, 1], e, g), [1]), g)
+            if 0 < pdeg(h) < pdeg(g):
+                _split(ctx, h, d, base, ext)
+                _split(ctx, pdivmod(q, g, h)[0], d, base, ext)
+                return
+        raise InvariantError("character split failed to separate roots")
 
 
 def roots_base_and_ext(ctx: FieldCtx, f):
     """Roots of a GF(q) polynomial in GF(q) and in GF(q^2) \\ GF(q).
 
-    The distinct-degree bookkeeping runs entirely over the prime field; only
-    the final extraction of conjugate root pairs touches extension arithmetic.
-    Returns (base_roots, ext_ctx_or_None, ext_roots).
+    ctx is a prime field.  Returns (base_roots, ext_ctx_or_None, ext_roots),
+    both root lists sorted; ext_ctx is `extension_of(ctx)` exactly when there
+    are ext roots.
     """
-    f = pnorm(list(f))
-    if pdeg(f) < 1:
-        return [], None, []
-    base_roots = roots_in_field(ctx, f)
-    # peel off the linear factors found over the base field
-    rem = f
-    for r in base_roots:
-        while True:
-            q_, rem_ = pdivmod(ctx, rem, [ctx.neg(r), 1])
-            if rem_:
-                break
-            rem = q_
-            if peval(ctx, rem, r):
-                break
-    if pdeg(rem) < 2:
-        return base_roots, None, []
-    ctx2 = extension_of(ctx)
-    xq2 = ppowmod(ctx, [0, 1], ctx.size * ctx.size, rem)
-    g2 = pgcd(ctx, psub(ctx, xq2, [0, 1]), rem)
-    if pdeg(g2) < 2:
-        return base_roots, None, []
-    ext_roots = [r for r in roots_in_field(ctx2, g2) if not ctx2.is_base(r)]
-    return base_roots, ctx2, sorted(ext_roots)
+    q = ctx.q
+    f = pmonic(q, f)
+    base, ext = [], []
+    if pdeg(f) <= 2:
+        _split(ctx, f, 1, base, ext)
+    else:
+        xq = ppowmod(q, [0, 1], q, f)
+        g1 = pgcd(q, psub(q, xq, [0, 1]), f)
+        _split(ctx, g1, 1, base, ext)
+        # peel the base roots, with their multiplicities, off f
+        rem = f
+        while pdeg(g := pgcd(q, rem, g1)) > 0:
+            rem = pdivmod(q, rem, g)[0]
+        if pdeg(rem) == 2:
+            _split(ctx, rem, 2, base, ext)
+        elif pdeg(rem) > 3:
+            # a cubic rem has no root in GF(q), so it is irreducible: skip it
+            xq = pmod(q, xq, rem)
+            g2 = pgcd(q, psub(q, _compose(q, xq, xq, rem), [0, 1]), rem)
+            _split(ctx, g2, 2, base, ext)
+    return sorted(base), extension_of(ctx) if ext else None, sorted(ext)

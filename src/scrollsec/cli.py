@@ -10,8 +10,8 @@ from the same cached secant analysis, and no option changes the mathematics
 (the ruling search always covers GF(q) and GF(q^2)).
 
 Exit codes: 0 success/agreement, 2 unclassifiable signature data, 3 label
-disagreement or failed verification, 64 usage/parse errors, 65 point on the
-variety, 66 budget exceeded.
+disagreement, failed verification or a broken invariant (InvariantError), 64
+usage/parse errors (argparse's too), 65 point on the variety, 66 over budget.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .delpezzo import (
 )
 from .errors import (
     BudgetExceededError,
+    InvariantError,
     PointOnVarietyError,
     ScrollParseError,
     ScrollsecError,
@@ -351,8 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage line and its error, or the help text;
+        # its exit 2 would read as "unclassifiable signature"
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ScrollParseError as exc:
@@ -367,6 +372,9 @@ def main(argv=None) -> int:
     except UnclassifiableSignatureError as exc:
         sys.stderr.write(f"error: unclassifiable signature: {exc}\n")
         return EXIT_UNCLASSIFIABLE
+    except InvariantError as exc:
+        sys.stderr.write(f"error: internal invariant failed: {exc}\n")
+        return EXIT_DISAGREEMENT
     except ScrollsecError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

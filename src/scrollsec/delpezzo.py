@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import PointOnVarietyError, ZeroMatrixError
+from .errors import InvariantError, PointOnVarietyError, ZeroMatrixError
 from .exactfield import (
     FieldCtx,
     LinearSubspace,
@@ -202,7 +202,7 @@ def atlas_enumerate(max_deg: int, max_n: int, max_h: int) -> list:
                 if tagged is None and derived is None:
                     continue
                 if tagged is None or derived is None or tagged[1] != derived:
-                    raise AssertionError(
+                    raise InvariantError(
                         f"atlas rule mismatch for {a}: tag {tagged} vs derived {derived}"
                     )
                 case, kind = tagged
@@ -313,7 +313,7 @@ def sample_inside_locus(entry_kind: str, spec: ScrollSpec, ctx: FieldCtx, rng):
         p = normalize_point(ctx, coords)
         if not contains(spec, ctx, p):
             return p
-    raise RuntimeError("could not sample a point inside the locus")
+    raise InvariantError("could not sample a point inside the locus")
 
 
 def locus_fills_ambient(entry_kind: str, spec: ScrollSpec) -> bool:
@@ -342,7 +342,7 @@ def sample_outside_locus(entry_kind: str, spec: ScrollSpec, ctx: FieldCtx, rng):
             continue
         if not locus_member(entry_kind, spec, ctx, p):
             return p
-    raise RuntimeError("could not sample a point outside the locus")
+    raise InvariantError("could not sample a point outside the locus")
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +407,15 @@ def project(spec: ScrollSpec, ctx: FieldCtx, p):
         for r in sigma_rows:
             for x in r:
                 if x >= ctx.q:
-                    raise AssertionError("secant locus span not rational")
+                    raise InvariantError("secant locus span not rational")
         images = [pmap.apply_linear(r) for r in sigma_rows]
         nonnormal = span_points(ctx, [v for v in images if any(v)], spec.ambient - 1)
     else:
         nonnormal = LinearSubspace(ctx, spec.ambient - 1, ())
-    assert nonnormal.pdim == sig.sec_dim - 1, (
-        f"non-normal locus dimension {nonnormal.pdim} != {sig.sec_dim - 1}"
-    )
+    if nonnormal.pdim != sig.sec_dim - 1:
+        raise InvariantError(
+            f"non-normal locus dimension {nonnormal.pdim} != {sig.sec_dim - 1}"
+        )
     return pmap, nonnormal
 
 
@@ -553,5 +554,5 @@ def veronese_brute_secant_points(ctx: FieldCtx, mvec):
         if verdict in (SECANT, TANGENT_CONTACT):
             out.append(q)
         elif verdict == NOT_ON_X:
-            raise AssertionError("table point claims to be off the Veronese surface")
+            raise InvariantError("table point claims to be off the Veronese surface")
     return out

@@ -58,3 +58,7 @@ class BudgetExceededError(ScrollsecError):
 
 class ScrollParseError(ScrollsecError):
     pass
+
+
+class InvariantError(ScrollsecError):
+    """An internal invariant of the computation failed: a bug, not bad input."""

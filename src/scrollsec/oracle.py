@@ -19,7 +19,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceededError, DimensionMismatchError, PointOnVarietyError
+from .errors import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    InvariantError,
+    PointOnVarietyError,
+)
 from .exactfield import FieldCtx, field_make, normalize_point, row_reduce
 from .scroll import (
     ScrollPoint,
@@ -102,7 +107,7 @@ def enumerate_points(spec: ScrollSpec, ctx: FieldCtx, budget: int = 10**7) -> Po
             for z in _affine_tuples(ctx, vs):
                 push(ScrollPoint(x, u, z))
     if len(pts) != expected:
-        raise AssertionError(
+        raise InvariantError(
             f"enumerated {len(pts)} points, expected {expected} for {spec}"
         )
     q = ctx.q

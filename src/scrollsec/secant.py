@@ -24,9 +24,12 @@ the ground field, so its reduced components form a single Galois orbit of size
 at most two (a pair of points, a pair of rulings).  Components of a
 positive-dimensional locus meet every ruling, and the zero-dimensional loci
 sit over at most two rulings, which are then conjugate over GF(q^2) at worst.
-A pair of conjugate entry points is the forcing case.  So the search over
-GF(q) and GF(q^2) always runs in full; cutting it at GF(q) would miss exactly
-those chords and report the point as Empty2Z.
+A pair of conjugate entry points is the forcing case.  It lies over the two
+roots of an irreducible quadratic factor, over GF(q), of a pivot polynomial,
+which `_binpoly` solves by the quadratic formula; no polynomial with GF(q^2)
+coefficients is ever factored.  The search over GF(q) and GF(q^2) always
+runs in full; cutting it at GF(q) would miss exactly those chords and report
+the point as Empty2Z.
 
 Each external point gets one analysis.  `classify_with_data` validates p and
 looks the analysis (signature, cone, quadric, witness sample) up in a small
@@ -279,6 +282,7 @@ def _poly_rank_and_pivots(ctx: FieldCtx, mat, ncols: int):
     would exhibit a full echelon minor.  So the exceptional rulings are among
     the roots of the pivots, each kept separately to avoid degree blow-up.
     """
+    q = ctx.q
     rows = [[list(e) for e in row] for row in mat if any(e for e in row)]
     rank = 0
     pivots = []
@@ -298,7 +302,7 @@ def _poly_rank_and_pivots(ctx: FieldCtx, mat, ncols: int):
             if e:
                 for j in range(col, ncols):
                     rows[i][j] = bp.psub(
-                        ctx, bp.pmul(ctx, pe, rows[i][j]), bp.pmul(ctx, e, prow[j])
+                        q, bp.pmul(q, pe, rows[i][j]), bp.pmul(q, e, prow[j])
                     )
         pivots.append(pe)
         rank += 1

@@ -1,5 +1,6 @@
 import json
 
+from scrollsec import delpezzo
 from scrollsec.cli import main
 
 
@@ -139,6 +140,24 @@ def test_oracle_check_cone(capsys):
     )
     assert code == 0
     assert json.loads(out)["result"]["diffs"] == []
+
+
+def test_unknown_option_is_a_usage_error(capsys):
+    # argparse would exit 2, the code of an unclassifiable signature
+    code = main(["classify", "--scroll", "S(3)", "--point", "1,4,4,1", "--q", "7",
+                 "--dmax", "1"])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err.startswith("usage: scrollsec")
+    assert "--dmax" in err
+
+
+def test_broken_invariant_exits_3(capsys, monkeypatch):
+    # a Del Pezzo family tag that contradicts the derived locus kind
+    monkeypatch.setattr(delpezzo, "atlas_case_for", lambda a: ("forced", "bogus"))
+    code, out = run_cli(capsys, "atlas", "--max-deg", "3", "--verify-samples", "1")
+    assert code == 3
+    assert out == ""
 
 
 def test_oracle_check_rejects_big_q(capsys):
