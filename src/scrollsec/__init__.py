@@ -17,12 +17,14 @@ from .errors import (
     ZeroVectorError,
 )
 from .exactfield import (
+    Binomial,
     FieldCtx,
     LinearSubspace,
     QForm,
     field_make,
     normalize_point,
     polarize,
+    projective_points,
     qform_rank,
     qform_restrict,
     row_reduce,

@@ -25,17 +25,23 @@ than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import InvariantError, PointOnVarietyError, ZeroMatrixError
+from .errors import (
+    DimensionMismatchError,
+    InvariantError,
+    PointOnVarietyError,
+    ZeroMatrixError,
+)
 from .exactfield import (
+    Binomial,
     FieldCtx,
     LinearSubspace,
-    QForm,
     extension_of,
     normalize_point,
+    projective_points,
     row_reduce,
     span_points,
+    unit_rows,
 )
 from .scroll import ScrollSpec, contains, scroll_literal, scroll_new
 from .secant import (
@@ -359,15 +365,12 @@ class ProjectionMap:
     pivot: int
 
     def apply(self, v):
-        ctx = self.ctx
         if len(v) != len(self.p):
-            raise ZeroMatrixError("point has the wrong number of coordinates")
-        f = ctx.mul(v[self.pivot], ctx.inv(self.p[self.pivot]))
-        out = [ctx.sub(x, ctx.mul(f, px)) for x, px in zip(v, self.p)]
-        del out[self.pivot]
+            raise DimensionMismatchError("point has the wrong number of coordinates")
+        out = self.apply_linear(v)
         if not any(out):
             raise PointOnVarietyError("cannot project the center point")
-        return normalize_point(ctx, out)
+        return normalize_point(self.ctx, out)
 
     def apply_linear(self, v):
         """Same map without the projective nonzero check (for spans)."""
@@ -395,12 +398,8 @@ def project(spec: ScrollSpec, ctx: FieldCtx, p):
     for rec in sample.fiber_records:
         rows.extend(rec.space.rows)
         needs_ext = needs_ext or rec.ctx.d == 2
-    if spec.vertex_size and not rows:
-        nv = spec.ambient + 1
-        for i in range(spec.vertex_size):
-            e = [0] * nv
-            e[i] = 1
-            rows.append(tuple(e))
+    if not rows:
+        rows = unit_rows(spec.ambient + 1, range(spec.vertex_size))
     span_ctx = extension_of(ctx) if needs_ext else ctx
     if rows:
         _, sigma_rows, _ = row_reduce(span_ctx, rows, spec.ambient + 1)
@@ -449,41 +448,16 @@ def veronese_embed(ctx: FieldCtx, v):
     return tuple(ctx.mul(v[i], v[j]) for i, j in _SYM_IDX)
 
 
-@lru_cache(maxsize=None)
+# the six distinct 2x2 minors of [[x0,x3,x4],[x3,x1,x5],[x4,x5,x2]], in row-pair
+# then column-pair order, as (i, j, k, l) for x_i x_j - x_k x_l
+_VERONESE_MINORS = (
+    (0, 1, 3, 3), (0, 5, 4, 3), (3, 5, 4, 1), (0, 2, 4, 4), (3, 2, 4, 5), (1, 2, 5, 5),
+)
+
+
 def veronese_generators(ctx: FieldCtx) -> tuple:
-    """The six 2x2 minors of the generic symmetric 3x3 matrix, as QForms."""
-    half = ctx.inv(2)
-    neg_half = ctx.neg(half)
-    # minors (row pair, col pair) of [[x0,x3,x4],[x3,x1,x5],[x4,x5,x2]]
-    coord = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
-    seen = set()
-    gens = []
-    for r0 in range(3):
-        for r1 in range(r0 + 1, 3):
-            for c0 in range(3):
-                for c1 in range(c0 + 1, 3):
-                    terms = (
-                        (coord[r0][c0], coord[r1][c1]),
-                        (coord[r0][c1], coord[r1][c0]),
-                    )
-                    key = tuple(sorted(tuple(sorted(t)) for t in terms))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    gram = [[0] * 6 for _ in range(6)]
-                    _sym_add(ctx, gram, terms[0], half)
-                    _sym_add(ctx, gram, terms[1], neg_half)
-                    gens.append(QForm(ctx, 6, tuple(tuple(r) for r in gram)))
-    return tuple(gens)
-
-
-def _sym_add(ctx: FieldCtx, gram, pair, half_coeff):
-    i, j = pair
-    if i == j:
-        gram[i][i] = ctx.add(gram[i][i], ctx.add(half_coeff, half_coeff))
-    else:
-        gram[i][j] = ctx.add(gram[i][j], half_coeff)
-        gram[j][i] = ctx.add(gram[j][i], half_coeff)
+    """The six 2x2 minors of the generic symmetric 3x3 matrix, as binomials."""
+    return tuple(Binomial(ctx, 6, *m) for m in _VERONESE_MINORS)
 
 
 def veronese_classify(m, ctx: FieldCtx, h: int = -1):
@@ -525,24 +499,7 @@ def veronese_classify(m, ctx: FieldCtx, h: int = -1):
 
 def veronese_point_table(ctx: FieldCtx):
     """All rational points of the Veronese surface (one per point of P^2)."""
-    pts = []
-    size = ctx.size
-    for lead in range(3):
-        tail = 3 - lead - 1
-        idx = [0] * tail
-        while True:
-            v = tuple([0] * lead + [1] + list(idx))
-            pts.append(normalize_point(ctx, veronese_embed(ctx, v)))
-            pos = tail - 1
-            while pos >= 0:
-                idx[pos] += 1
-                if idx[pos] < size:
-                    break
-                idx[pos] = 0
-                pos -= 1
-            if pos < 0:
-                break
-    return pts
+    return [normalize_point(ctx, veronese_embed(ctx, v)) for v in projective_points(ctx, 3)]
 
 
 def veronese_brute_secant_points(ctx: FieldCtx, mvec):

@@ -12,32 +12,43 @@ linear subspaces are kept in reduced row-echelon form, which makes subspace
 equality literal tuple equality.  Everything here is immutable after
 construction and safe to share across threads.
 
-Only odd characteristic is supported: quadratic forms are represented by
-symmetric Gram matrices, whose rank classification needs 1/2.
+Quadratic forms come in two shapes.  The generators of the scrolls and of the
+Veronese surface are binomials x_i*x_j - x_k*x_l (`Binomial`), evaluated,
+polarized and restricted from their four indices.  A general form, such as the
+quadric cut on a secant cone, is a symmetric Gram matrix (`QForm`).  Only odd
+characteristic is supported: a Gram matrix stores half of each mixed
+coefficient, and restricting a binomial to a subspace produces one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .errors import (
     DimensionMismatchError,
     EvenCharacteristicError,
     NonPrimeError,
+    ZeroVectorError,
 )
 
 __all__ = [
     "FieldCtx",
     "field_make",
+    "extension_of",
+    "base_of",
     "is_prime",
     "row_reduce",
     "normalize_point",
+    "projective_points",
+    "unit_rows",
     "LinearSubspace",
     "span_points",
     "subspace_contains",
     "subspace_intersection",
     "QForm",
+    "Binomial",
     "polarize",
     "qform_restrict",
     "qform_rank",
@@ -143,8 +154,8 @@ class FieldCtx:
     def sqrt_base(self, a: int) -> int | None:
         """Square root of a prime-field element inside GF(q), or None.
 
-        Tonelli-Shanks, made deterministic by reusing the stored non-residue
-        (for d = 1 contexts the non-residue is recomputed on demand).
+        Tonelli-Shanks, made deterministic by the least non-residue, which the
+        context of GF(q^2) stores (and `field_make` caches).
         """
         q = self.q
         a %= q
@@ -154,7 +165,7 @@ class FieldCtx:
             return None
         if q % 4 == 3:
             return pow(a, (q + 1) // 4, q)
-        nonres = self.c if self.c else _least_nonresidue(q)
+        nonres = self.c or extension_of(self).c
         # write q-1 = odd * 2^e and walk the 2-Sylow tower
         odd, e = q - 1, 0
         while odd % 2 == 0:
@@ -201,6 +212,10 @@ def field_make(q: int, d: int = 1) -> FieldCtx:
 
 def extension_of(ctx: FieldCtx) -> FieldCtx:
     return ctx if ctx.d == 2 else field_make(ctx.q, 2)
+
+
+def base_of(ctx: FieldCtx) -> FieldCtx:
+    return ctx if ctx.d == 1 else field_make(ctx.q, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +298,22 @@ def normalize_point(ctx: FieldCtx, v) -> tuple:
                 return tuple(v)
             s = ctx.inv(x)
             return tuple(ctx.mul(s, y) if y else 0 for y in v)
-    raise DimensionMismatchError("cannot normalize the zero vector")
+    raise ZeroVectorError("cannot normalize the zero vector")
+
+
+def projective_points(ctx: FieldCtx, n: int):
+    """Every point of P^(n-1) over the field of ctx once, normalized; none for n = 0.
+
+    Ordered by the position of the leading 1, then lexicographically.
+    """
+    for lead in range(n):
+        for tail in product(range(ctx.size), repeat=n - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
+def unit_rows(n: int, cols) -> list:
+    """The unit vectors e_c of length n, one row per c in cols."""
+    return [tuple(int(j == c) for j in range(n)) for c in cols]
 
 
 @dataclass(frozen=True)
@@ -404,60 +434,90 @@ class QForm:
             total = add(total, mul(vi, acc))
         return total
 
+    def polar(self, p) -> tuple:
+        """The covector 2 * p^T * gram (see `polarize`)."""
+        ctx = self.ctx
+        return tuple(ctx.add(x, x) for x in (_dot(ctx, p, row) for row in self.gram))
 
-def polarize(form: QForm, p, v) -> int:
+    def restrict(self, space: LinearSubspace) -> "QForm":
+        """The form B * gram * B^T on the basis rows B of space."""
+        if space.ambient + 1 != self.n_vars:
+            raise DimensionMismatchError("form and subspace ambient mismatch")
+        ctx, rows = self.ctx, space.rows
+        half = (ctx.q + 1) // 2
+        gram = tuple(
+            tuple(ctx.mul(half, _dot(ctx, w, r)) for r in rows)
+            for w in (self.polar(r) for r in rows)
+        )
+        return QForm(ctx, len(rows), gram)
+
+
+@dataclass(frozen=True)
+class Binomial:
+    """The quadric x_i*x_j - x_k*x_l, the shape of every determinantal generator.
+
+    A square is i = j or k = l.  Values, polars and restrictions equal those
+    of the QForm of the same polynomial, at the cost of its four indices.
+    """
+
+    ctx: FieldCtx
+    n_vars: int
+    i: int
+    j: int
+    k: int
+    l: int  # noqa: E741
+
+    def evaluate(self, v) -> int:
+        if len(v) != self.n_vars:
+            raise DimensionMismatchError("vector length != n_vars")
+        mul = self.ctx.mul
+        return self.ctx.sub(mul(v[self.i], v[self.j]), mul(v[self.k], v[self.l]))
+
+    def polar(self, p) -> tuple:
+        """The covector 2 * p^T * G, G the Gram matrix (see `polarize`)."""
+        add, sub = self.ctx.add, self.ctx.sub
+        i, j, k, l = self.i, self.j, self.k, self.l  # noqa: E741
+        out = [0] * self.n_vars
+        out[i] = add(out[i], p[j])
+        out[j] = add(out[j], p[i])
+        out[k] = sub(out[k], p[l])
+        out[l] = sub(out[l], p[k])
+        return tuple(out)
+
+    def restrict(self, space: LinearSubspace) -> QForm:
+        """The form on the basis rows of space, read off the basis columns c:
+        1/2 (c_i c_j^T + c_j c_i^T - c_k c_l^T - c_l c_k^T)."""
+        if space.ambient + 1 != self.n_vars:
+            raise DimensionMismatchError("form and subspace ambient mismatch")
+        ctx = self.ctx
+        mul, add, sub = ctx.mul, ctx.add, ctx.sub
+        ci, cj, ck, cl = ([r[x] for r in space.rows] for x in (self.i, self.j, self.k, self.l))
+        # u = c_i c_j^T - c_k c_l^T; the Gram matrix is its symmetric part
+        u = [[sub(mul(xi, yj), mul(xk, yl)) for yj, yl in zip(cj, cl)] for xi, xk in zip(ci, ck)]
+        half = (ctx.q + 1) // 2
+        m = len(u)
+        gram = tuple(tuple(mul(half, add(u[a][b], u[b][a])) for b in range(m)) for a in range(m))
+        return QForm(ctx, m, gram)
+
+
+def polarize(form, p, v) -> int:
     """Bilinear coefficient B with Q(l*p + m*v) = l^2 Q(p) + l*m*B + m^2 Q(v).
 
-    Equals 2 * p^T * gram * v.
+    Equals 2 * p^T * gram * v, the product of `form.polar(p)` with v, for a
+    QForm or a Binomial.
     """
     if len(p) != form.n_vars or len(v) != form.n_vars:
         raise DimensionMismatchError("vector length != n_vars")
-    ctx = form.ctx
-    mul, add = ctx.mul, ctx.add
-    total = 0
-    for i, pi in enumerate(p):
-        if not pi:
-            continue
-        row = form.gram[i]
-        acc = 0
-        for j, vj in enumerate(v):
-            if vj and row[j]:
-                acc = add(acc, mul(row[j], vj))
-        total = add(total, mul(pi, acc))
-    return ctx.add(total, total)
+    return _dot(form.ctx, form.polar(p), v)
 
 
-def qform_restrict(form: QForm, space: LinearSubspace) -> QForm:
+def qform_restrict(form, space: LinearSubspace) -> QForm:
     """Pull the form back along the parametrization of a subspace.
 
     The result acts on coefficient vectors w with respect to the basis rows:
-    Q'(w) = Q(w . basis).
+    Q'(w) = Q(w . basis).  form is a QForm or a Binomial.
     """
-    if space.ambient + 1 != form.n_vars:
-        raise DimensionMismatchError("form and subspace ambient mismatch")
-    ctx = form.ctx
-    rows = space.rows
-    k = len(rows)
-    mul, add = ctx.mul, ctx.add
-    # G' = B G B^T
-    gb = []
-    for r in rows:
-        line = []
-        for j in range(form.n_vars):
-            acc = 0
-            for t in range(form.n_vars):
-                if r[t] and form.gram[t][j]:
-                    acc = add(acc, mul(r[t], form.gram[t][j]))
-            line.append(acc)
-        gb.append(line)
-    gram = tuple(
-        tuple(
-            _dot(ctx, gb[i], rows[j])
-            for j in range(k)
-        )
-        for i in range(k)
-    )
-    return QForm(ctx, k, gram)
+    return form.restrict(space)
 
 
 def _dot(ctx: FieldCtx, u, v) -> int:

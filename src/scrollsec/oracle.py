@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -25,16 +26,24 @@ from .errors import (
     InvariantError,
     PointOnVarietyError,
 )
-from .exactfield import FieldCtx, field_make, normalize_point, row_reduce
+from .exactfield import (
+    FieldCtx,
+    base_of,
+    normalize_point,
+    projective_points,
+    row_reduce,
+    span_points,
+    unit_rows,
+)
 from .scroll import (
     ScrollPoint,
     ScrollSpec,
+    _ruling_rows,
     embed,
     quadric_generators,
     tangent_space,
 )
 from .secant import (
-    _polar_covector,
     classify_signature,
     classify_with_data,
     reduced_point,
@@ -100,11 +109,11 @@ def enumerate_points(spec: ScrollSpec, ctx: FieldCtx, budget: int = 10**7) -> Po
 
     vs = spec.vertex_size
     zero_u = tuple([0] * spec.n)
-    for z in _proj_reps(ctx, vs):
+    for z in projective_points(ctx, vs):
         push(ScrollPoint((0, 0), zero_u, z))
     for x in _line_points(ctx):
-        for u in _proj_reps(ctx, spec.n):
-            for z in _affine_tuples(ctx, vs):
+        for u in projective_points(ctx, spec.n):
+            for z in product(range(size), repeat=vs):
                 push(ScrollPoint(x, u, z))
     if len(pts) != expected:
         raise InvariantError(
@@ -124,37 +133,10 @@ def enumerate_points(spec: ScrollSpec, ctx: FieldCtx, budget: int = 10**7) -> Po
     )
 
 
-def _line_points(ctx: FieldCtx):
-    yield (0, 1)
-    for t in range(ctx.size):
-        yield (1, t)
-
-
-def _proj_reps(ctx: FieldCtx, n: int):
-    """Normalized representatives of P^(n-1); empty for n = 0."""
-    if n == 0:
-        return
-    for lead in range(n):
-        for tail in _affine_tuples(ctx, n - lead - 1):
-            yield tuple([0] * lead + [1] + list(tail))
-
-
-def _affine_tuples(ctx: FieldCtx, n: int):
-    if n == 0:
-        yield ()
-        return
-    idx = [0] * n
-    while True:
-        yield tuple(idx)
-        pos = n - 1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] < ctx.size:
-                break
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
+def _line_points(ctx: FieldCtx) -> list:
+    """P^1 with (0:1) first: the order of the point tables."""
+    *finite, infinity = projective_points(ctx, 2)
+    return [infinity] + finite
 
 
 def _pair_data(spec: ScrollSpec, base_ctx: FieldCtx, table: PointTable, p):
@@ -163,7 +145,7 @@ def _pair_data(spec: ScrollSpec, base_ctx: FieldCtx, table: PointTable, p):
     a_vals = [g.evaluate(p) for g in gens]
     if not any(a_vals):
         raise PointOnVarietyError("p lies on the scroll")
-    w = np.array([_polar_covector(base_ctx, g, p) for g in gens], dtype=np.int64)
+    w = np.array([g.polar(p) for g in gens], dtype=np.int64)
     q = base_ctx.q
     b0 = table.arr0 @ w.T % q
     b1 = table.arr1 @ w.T % q
@@ -183,7 +165,7 @@ def brute_secant_locus(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7):
     of the scroll; it must equal the fast path's union of ruling cuts over the
     same field.
     """
-    base_ctx = _base_of(ctx)
+    base_ctx = base_of(ctx)
     table = enumerate_points(spec, ctx, budget)
     secant_mask, _ = _pair_data(spec, base_ctx, table, p)
     return {table.points[i] for i in np.nonzero(secant_mask)[0]}
@@ -191,21 +173,17 @@ def brute_secant_locus(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7):
 
 def brute_tangent_witnesses(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7):
     """Indices of non-vertex table points whose tangent space contains p."""
-    base_ctx = _base_of(ctx)
+    base_ctx = base_of(ctx)
     table = enumerate_points(spec, ctx, budget)
     _, tangent_mask = _pair_data(spec, base_ctx, table, p)
     return list(np.nonzero(tangent_mask & table.nonvertex)[0])
-
-
-def _base_of(ctx: FieldCtx) -> FieldCtx:
-    return ctx if ctx.d == 1 else field_make(ctx.q, 1)
 
 
 def brute_membership(
     spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7
 ) -> MembershipReport:
     """Set memberships by exhaustive enumeration of the defining joins."""
-    base_ctx = _base_of(ctx)
+    base_ctx = base_of(ctx)
     table = enumerate_points(spec, ctx, budget)
     secant_mask, tangent_mask = _pair_data(spec, base_ctx, table, p)
     nonvertex = table.nonvertex
@@ -214,28 +192,24 @@ def brute_membership(
 
     nv = spec.ambient + 1
     vs = spec.vertex_size
-    vertex_rows = []
-    for i in range(vs):
-        e = [0] * nv
-        e[i] = 1
-        vertex_rows.append(tuple(e))
+    vertex_rows = unit_rows(nv, range(vs))
 
     # A: span of the vertex and the enumerated degree-1 sub-scroll
     one_blocks = [i for i, ai in enumerate(spec.a) if ai == 1]
     sub_pts = []
     for x in _line_points(ctx):
-        for alpha in _proj_reps(ctx, len(one_blocks)):
+        for alpha in projective_points(ctx, len(one_blocks)):
             u = [0] * spec.n
             for ci, i in enumerate(one_blocks):
                 u[i] = alpha[ci]
             sub_pts.append(embed(spec, ctx, ScrollPoint(x, tuple(u), tuple([0] * vs))))
     a_rows = vertex_rows + sub_pts
-    in_a = _span_contains(ctx, a_rows, nv, p)
+    in_a = span_points(ctx, a_rows, spec.ambient).contains(p)
 
     # B: union over (alpha, x) of the span of a sub-scroll line with a ruling
     in_b = False
     if one_blocks:
-        for alpha in _proj_reps(ctx, len(one_blocks)):
+        for alpha in projective_points(ctx, len(one_blocks)):
             line_rows = []
             for fib in ((1, 0), (0, 1)):
                 u = [0] * spec.n
@@ -245,10 +219,8 @@ def brute_membership(
                     embed(spec, ctx, ScrollPoint(fib, tuple(u), tuple([0] * vs)))
                 )
             for x in _line_points(ctx):
-                ruling_rows = _ruling_rows(spec, ctx, x)
-                if _span_contains(
-                    ctx, vertex_rows + line_rows + ruling_rows, nv, p
-                ):
+                rows = line_rows + _ruling_rows(spec, ctx, x)
+                if span_points(ctx, rows, spec.ambient).contains(p):
                     in_b = True
                     break
             if in_b:
@@ -260,14 +232,14 @@ def brute_membership(
     two_blocks = [i for i, ai in enumerate(spec.a) if ai == 2]
     if two_blocks:
         in_u = False
-        for beta in _proj_reps(ctx, len(two_blocks)):
+        for beta in projective_points(ctx, len(two_blocks)):
             plane_rows = []
             for j in range(3):
                 row = [0] * nv
                 for ci, i in enumerate(two_blocks):
                     row[spec.block_starts[i] + j] = beta[ci]
                 plane_rows.append(tuple(row))
-            if _span_contains(ctx, a_rows + plane_rows, nv, p):
+            if span_points(ctx, a_rows + plane_rows, spec.ambient).contains(p):
                 in_u = True
                 break
     else:
@@ -285,7 +257,7 @@ def brute_membership(
         label = "TwoPoints"
     else:
         label = "Empty2Z"
-    sig = classify_signature(spec, _base_of(ctx), p)
+    sig = classify_signature(spec, base_of(ctx), p)
     return MembershipReport(
         in_A=in_a,
         in_B=in_b,
@@ -297,28 +269,6 @@ def brute_membership(
     )
 
 
-def _ruling_rows(spec: ScrollSpec, ctx: FieldCtx, x):
-    rows = []
-    for i in range(spec.n):
-        u = [0] * spec.n
-        u[i] = 1
-        rows.append(embed(spec, ctx, ScrollPoint(x, tuple(u), tuple([0] * spec.vertex_size))))
-    return rows
-
-
-def _span_contains(ctx: FieldCtx, rows, nv: int, p) -> bool:
-    _, ech, _ = row_reduce(ctx, rows, nv)
-    out = list(p)
-    for row in ech:
-        pc = next(j for j, x in enumerate(row) if x)
-        f = out[pc]
-        if f:
-            for j in range(pc, nv):
-                if row[j]:
-                    out[j] = ctx.sub(out[j], ctx.mul(f, row[j]))
-    return not any(out)
-
-
 def check_lift_equalities(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7):
     """Check the two cone-lift identities against the brute data.
 
@@ -328,7 +278,7 @@ def check_lift_equalities(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**
     the base locus.  Returns a list of discrepancy strings (empty = pass).
     """
     problems = []
-    base_ctx = _base_of(ctx)
+    base_ctx = base_of(ctx)
     _, sec, _, _ = classify_with_data(spec, base_ctx, p)
     locus = brute_secant_locus(spec, ctx, p, budget)
     vecs = [normalize_point(ctx, p)] + sorted(locus)
@@ -342,12 +292,12 @@ def check_lift_equalities(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**
         base_locus = brute_secant_locus(spec0, ctx, pbar, budget)
         joined = set()
         vs = spec.vertex_size
-        for z in _affine_tuples(ctx, vs):
+        for z in product(range(ctx.size), repeat=vs):
             for w in base_locus:
                 vec = tuple(z) + tuple(w)
                 if any(vec):
                     joined.add(normalize_point(ctx, vec))
-        for zrep in _proj_reps(ctx, vs):
+        for zrep in projective_points(ctx, vs):
             joined.add(normalize_point(ctx, tuple(zrep) + tuple([0] * (spec0.ambient + 1))))
         if joined != locus:
             problems.append("secant locus differs from the vertex join of the base locus")
@@ -362,7 +312,7 @@ def ambient_zero_locus(spec: ScrollSpec, ctx: FieldCtx, budget: int = 10**7):
         raise BudgetExceededError(f"ambient scan of size {total} exceeds budget {budget}")
     gens = quadric_generators(spec, ctx)
     out = set()
-    for v in _proj_reps(ctx, spec.ambient + 1):
+    for v in projective_points(ctx, spec.ambient + 1):
         if all(not g.evaluate(v) for g in gens):
             out.add(v)
     return out
@@ -382,17 +332,20 @@ def veronese_secant_counts(ctx: FieldCtx, mvecs) -> np.ndarray:
     q = ctx.q
     gens = veronese_generators(ctx)
     table = np.array(veronese_point_table(ctx), dtype=np.int64)
-    gram = np.array([g.gram for g in gens], dtype=np.int64)
+    # generator g is x_i[g] x_j[g] - x_k[g] x_l[g]
+    i, j, k, l = (np.array(ix) for ix in zip(*((g.i, g.j, g.k, g.l) for g in gens)))  # noqa: E741
     cls = np.asarray(mvecs, dtype=np.int64)
-    a_all = np.einsum("ci,gij,cj->cg", cls, gram, cls) % q
+    a_all = (cls[:, i] * cls[:, j] - cls[:, k] * cls[:, l]) % q
     if (a_all == 0).all(axis=1).any():
         raise PointOnVarietyError("batch contains a point of the surface")
-    gt = np.einsum("gij,tj->gti", gram, table) % q
+    ti, tj, tk, tl = (table[:, ix].T[None] for ix in (i, j, k, l))
     counts = np.empty(len(cls), dtype=np.int64)
     step = 2048
     for s in range(0, len(cls), step):
         e = min(s + step, len(cls))
-        b = (2 * np.einsum("ci,gti->cgt", cls[s:e], gt)) % q
+        c = cls[s:e]
+        # the polar of generator g at the class point, paired with every table point
+        b = (c[:, i, None] * tj + c[:, j, None] * ti - c[:, k, None] * tl - c[:, l, None] * tk) % q
         a = a_all[s:e]
         i0 = (a != 0).argmax(axis=1)
         a0 = np.take_along_axis(a, i0[:, None], axis=1)
@@ -405,7 +358,7 @@ def veronese_secant_counts(ctx: FieldCtx, mvecs) -> np.ndarray:
 def tangency_crosscheck(spec, ctx, p, indices, table: PointTable):
     """Verify on selected table rows that the polar condition matches the
     Jacobian tangent space test."""
-    base_ctx = _base_of(ctx)
+    base_ctx = base_of(ctx)
     _, tangent_mask = _pair_data(spec, base_ctx, table, p)
     for i in indices:
         param = table.params[i]

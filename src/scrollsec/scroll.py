@@ -29,7 +29,7 @@ from .errors import (
     VertexPointError,
     ZeroVectorError,
 )
-from .exactfield import FieldCtx, LinearSubspace, QForm, span_points
+from .exactfield import Binomial, FieldCtx, LinearSubspace, span_points, unit_rows
 
 __all__ = [
     "ScrollSpec",
@@ -197,37 +197,20 @@ def _monomials(ctx: FieldCtx, s: int, t: int, a: int):
     return [ctx.mul(spow[a - j], tpow[j]) for j in range(a + 1)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def quadric_generators(spec: ScrollSpec, ctx: FieldCtx) -> tuple:
-    """The C(deg, 2) quadric minors cutting out the scroll, as QForms."""
-    half = ctx.inv(2)
-    neg_half = ctx.neg(half)
-    ncols = spec.deg
-    top = []
-    bot = []
-    for i, ai in enumerate(spec.a):
-        start = spec.block_starts[i]
-        for j in range(ai):
-            top.append(start + j)
-            bot.append(start + j + 1)
+    """The C(deg, 2) quadric minors cutting out the scroll, as binomials.
+
+    Column c of the block matrix is (x_top[c], x_(top[c]+1)); the minor of
+    columns c < d is x_top[c] x_(top[d]+1) - x_top[d] x_(top[c]+1).
+    """
+    top = [start + j for start, ai in zip(spec.block_starts, spec.a) for j in range(ai)]
     nv = spec.ambient + 1
-    gens = []
-    for alpha in range(ncols):
-        for beta in range(alpha + 1, ncols):
-            gram = [[0] * nv for _ in range(nv)]
-            _gram_add(ctx, gram, top[alpha], bot[beta], half)
-            _gram_add(ctx, gram, top[beta], bot[alpha], neg_half)
-            gens.append(QForm(ctx, nv, tuple(tuple(r) for r in gram)))
-    return tuple(gens)
-
-
-def _gram_add(ctx: FieldCtx, gram, i: int, j: int, half_coeff: int):
-    # add coeff * x_i x_j; the Gram entry stores half the mixed coefficient
-    if i == j:
-        gram[i][i] = ctx.add(gram[i][i], ctx.add(half_coeff, half_coeff))
-    else:
-        gram[i][j] = ctx.add(gram[i][j], half_coeff)
-        gram[j][i] = ctx.add(gram[j][i], half_coeff)
+    return tuple(
+        Binomial(ctx, nv, top[c], top[d] + 1, top[d], top[c] + 1)
+        for c in range(len(top))
+        for d in range(c + 1, len(top))
+    )
 
 
 def contains(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
@@ -239,25 +222,22 @@ def contains(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
     return all(not g.evaluate(p) for g in quadric_generators(spec, ctx))
 
 
+def _ruling_rows(spec: ScrollSpec, ctx: FieldCtx, x) -> list:
+    """The vertex unit rows and the n block vectors v_i(x): a basis of the ruling."""
+    rows = unit_rows(spec.ambient + 1, range(spec.vertex_size))
+    for start, ai in zip(spec.block_starts, spec.a):
+        e = [0] * (spec.ambient + 1)
+        e[start:start + ai + 1] = _monomials(ctx, x[0], x[1], ai)
+        rows.append(tuple(e))
+    return rows
+
+
 def ruling_subspace(spec: ScrollSpec, ctx: FieldCtx, x) -> LinearSubspace:
     """The ruling over x in P^1: span of the vertex and the n block vectors v_i(x)."""
     s, t = x
     if not s and not t:
         raise ZeroVectorError("ruling needs (s,t) != (0,0)")
-    nv = spec.ambient + 1
-    rows = []
-    for i in range(spec.vertex_size):
-        e = [0] * nv
-        e[i] = 1
-        rows.append(e)
-    for i, ai in enumerate(spec.a):
-        start = spec.block_starts[i]
-        mon = _monomials(ctx, s, t, ai)
-        e = [0] * nv
-        for j in range(ai + 1):
-            e[start + j] = mon[j]
-        rows.append(e)
-    return span_points(ctx, rows, spec.ambient)
+    return span_points(ctx, _ruling_rows(spec, ctx, x), spec.ambient)
 
 
 def tangent_space(spec: ScrollSpec, ctx: FieldCtx, pt: ScrollPoint) -> LinearSubspace:
@@ -269,61 +249,16 @@ def tangent_space(spec: ScrollSpec, ctx: FieldCtx, pt: ScrollPoint) -> LinearSub
     if pt.is_vertex():
         raise VertexPointError("tangent space is not defined at a vertex point")
     s, t = pt.x
-    nv = spec.ambient + 1
-    rows = []
-    ds = [0] * nv
-    dt = [0] * nv
-    for i, ai in enumerate(spec.a):
-        ui = pt.u[i]
-        start = spec.block_starts[i]
-        mon_s = _dmonomials_s(ctx, s, t, ai)
-        mon_t = _dmonomials_t(ctx, s, t, ai)
-        if ui:
-            for j in range(ai + 1):
-                ds[start + j] = ctx.add(ds[start + j], ctx.mul(ui, mon_s[j]))
-                dt[start + j] = ctx.add(dt[start + j], ctx.mul(ui, mon_t[j]))
-        e = [0] * nv
-        mon = _monomials(ctx, s, t, ai)
-        for j in range(ai + 1):
-            e[start + j] = mon[j]
-        rows.append(e)
-    rows.append(ds)
-    rows.append(dt)
-    for i in range(spec.vertex_size):
-        e = [0] * nv
-        e[i] = 1
-        rows.append(e)
-    return span_points(ctx, rows, spec.ambient)
-
-
-def _dmonomials_s(ctx: FieldCtx, s: int, t: int, a: int):
-    """d/ds of the degree-a monomial vector."""
-    out = [0] * (a + 1)
-    for j in range(a + 1):
-        coeff = (a - j) % ctx.q
-        if coeff and a - j - 1 >= 0:
-            spow = _pow(ctx, s, a - j - 1)
-            tpow = _pow(ctx, t, j)
-            out[j] = ctx.mul(coeff, ctx.mul(spow, tpow))
-    return out
-
-
-def _dmonomials_t(ctx: FieldCtx, s: int, t: int, a: int):
-    out = [0] * (a + 1)
-    for j in range(a + 1):
-        coeff = j % ctx.q
-        if coeff and j - 1 >= 0:
-            spow = _pow(ctx, s, a - j)
-            tpow = _pow(ctx, t, j - 1)
-            out[j] = ctx.mul(coeff, ctx.mul(spow, tpow))
-    return out
-
-
-def _pow(ctx: FieldCtx, x: int, e: int) -> int:
-    acc = 1
-    for _ in range(e):
-        acc = ctx.mul(acc, x)
-    return acc
+    q = ctx.q
+    ds = [0] * (spec.ambient + 1)
+    dt = [0] * (spec.ambient + 1)
+    for ui, start, ai in zip(pt.u, spec.block_starts, spec.a):
+        # with m the degree-(a-1) monomials: d/ds s^(a-j) t^j = (a-j) m[j],
+        # d/dt s^(a-j-1) t^(j+1) = (j+1) m[j]
+        for j, mj in enumerate(_monomials(ctx, s, t, ai - 1)):
+            ds[start + j] = ctx.mul(ui, ctx.mul((ai - j) % q, mj))
+            dt[start + j + 1] = ctx.mul(ui, ctx.mul((j + 1) % q, mj))
+    return span_points(ctx, _ruling_rows(spec, ctx, pt.x) + [ds, dt], spec.ambient)
 
 
 def special_subspaces(spec: ScrollSpec, ctx: FieldCtx) -> dict:
@@ -351,12 +286,7 @@ def special_subspaces(spec: ScrollSpec, ctx: FieldCtx) -> dict:
             high_blocks.append(i)
 
     def coord_space(cols):
-        rows = []
-        for c in cols:
-            e = [0] * nv
-            e[c] = 1
-            rows.append(tuple(e))
-        return LinearSubspace(ctx, spec.ambient, tuple(rows))
+        return LinearSubspace(ctx, spec.ambient, tuple(unit_rows(nv, cols)))
 
     return {
         "A": coord_space(one_cols),

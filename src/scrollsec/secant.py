@@ -53,14 +53,15 @@ from .exactfield import (
     FieldCtx,
     LinearSubspace,
     QForm,
+    base_of,
     extension_of,
-    field_make,
     normalize_point,
     polarize,
+    projective_points,
     qform_normalized_gram,
     qform_rank,
-    qform_restrict,
     row_reduce,
+    unit_rows,
 )
 from .scroll import ScrollSpec, contains, quadric_generators, _monomials
 
@@ -221,7 +222,7 @@ def _secant_covectors(spec0: ScrollSpec, ctx: FieldCtx, pbar):
     if not any(a_vals):
         raise PointOnVarietyError("p lies on the scroll")
     i0 = next(i for i, a in enumerate(a_vals) if a)
-    twop = [_polar_covector(ctx, g, pbar) for g in gens]
+    twop = [g.polar(pbar) for g in gens]
     a0 = a_vals[i0]
     rows = []
     nv = spec0.ambient + 1
@@ -243,20 +244,7 @@ def _tangency_covectors(spec0: ScrollSpec, ctx: FieldCtx, pbar):
     gens = quadric_generators(spec0, ctx)
     if not any(g.evaluate(pbar) for g in gens):
         raise PointOnVarietyError("p lies on the scroll")
-    return [_polar_covector(ctx, g, pbar) for g in gens]
-
-
-def _polar_covector(ctx: FieldCtx, form: QForm, p):
-    mul, add = ctx.mul, ctx.add
-    n = form.n_vars
-    out = []
-    for j in range(n):
-        acc = 0
-        for i, pi in enumerate(p):
-            if pi and form.gram[i][j]:
-                acc = add(acc, mul(pi, form.gram[i][j]))
-        out.append(add(acc, acc))
-    return tuple(out)
+    return [g.polar(pbar) for g in gens]
 
 
 def _poly_fiber_matrix(spec0: ScrollSpec, covectors):
@@ -395,15 +383,9 @@ def _candidate_and_sample_fibers(spec0: ScrollSpec, ctx: FieldCtx, covectors):
 
 def _lift_rows(spec: ScrollSpec, base_rows):
     """Prepend vertex unit rows and shift base-scroll rows past the vertex block."""
-    nv = spec.ambient + 1
     shift = spec.vertex_size
-    rows = []
-    for i in range(shift):
-        e = [0] * nv
-        e[i] = 1
-        rows.append(tuple(e))
-    for r in base_rows:
-        rows.append(tuple([0] * shift + list(r)))
+    rows = unit_rows(spec.ambient + 1, range(shift))
+    rows.extend((0,) * shift + tuple(r) for r in base_rows)
     return rows
 
 
@@ -489,7 +471,7 @@ def _analysis(spec: ScrollSpec, ctx: FieldCtx, p: tuple):
     quadric0 = None
     norm_ref = None
     for g in gens0:
-        rg = qform_restrict(g, sec0)
+        rg = g.restrict(sec0)
         if all(not x for row in rg.gram for x in row):
             continue
         norm = qform_normalized_gram(rg)
@@ -573,11 +555,9 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     Exhaustive over the rulings of that field: still the fiber-linear fast
     path, used for set-level comparison against the brute-force oracle.
     """
-    from .oracle import _line_points
-
     spec0 = spec.base()
     pbar = reduced_point(spec, p)
-    base_ctx = ctx_d if ctx_d.d == 1 else field_make(ctx_d.q, 1)
+    base_ctx = base_of(ctx_d)
     if contains(spec, base_ctx, p):
         raise PointOnVarietyError("p lies on the scroll")
     covectors = _secant_covectors(spec0, base_ctx, pbar)
@@ -585,46 +565,20 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     est = (size + 1) * max(1, size ** (spec.dim - 1))
     if est > budget:
         raise BudgetExceededError(f"enumeration of size ~{est} exceeds budget {budget}")
-    pts = set()
-    vs = spec.vertex_size
-    if vs:
-        for w in _subspace_points(ctx_d, _lift_rows(spec, ()), spec.ambient):
-            pts.add(w)
-    for x in _line_points(ctx_d):
+    pts = set(_subspace_points(ctx_d, _lift_rows(spec, ())))
+    for x in projective_points(ctx_d, 2):
         vecs = _fiber_kernel_vectors(spec0, ctx_d, covectors, x)
-        if not vecs:
-            continue
-        rows = _lift_rows(spec, vecs)
-        _, ech, _ = row_reduce(ctx_d, rows, spec.ambient + 1)
-        for w in _subspace_points(ctx_d, ech, spec.ambient):
-            pts.add(w)
+        if vecs:
+            _, ech, _ = row_reduce(ctx_d, _lift_rows(spec, vecs), spec.ambient + 1)
+            pts.update(_subspace_points(ctx_d, ech))
     return pts
 
 
-def _subspace_points(ctx: FieldCtx, rows, ambient: int):
+def _subspace_points(ctx: FieldCtx, rows):
     """All rational points of the projective subspace spanned by rows."""
-    k = len(rows)
-    if k == 0:
-        return
-    nv = ambient + 1
-    for lead in range(k):
-        tail = k - lead - 1
-        idx = [0] * tail
-        while True:
-            coeffs = [0] * lead + [1] + list(idx)
-            v = [0] * nv
-            for c, row in zip(coeffs, rows):
-                if c:
-                    for j in range(nv):
-                        if row[j]:
-                            v[j] = ctx.add(v[j], ctx.mul(c, row[j]))
-            yield normalize_point(ctx, v)
-            pos = tail - 1
-            while pos >= 0:
-                idx[pos] += 1
-                if idx[pos] < ctx.size:
-                    break
-                idx[pos] = 0
-                pos -= 1
-            if pos < 0:
-                break
+    for coeffs in projective_points(ctx, len(rows)):
+        v = [0] * len(rows[0])
+        for c, row in zip(coeffs, rows):
+            if c:
+                v = [ctx.add(x, ctx.mul(c, y)) if y else x for x, y in zip(v, row)]
+        yield normalize_point(ctx, v)

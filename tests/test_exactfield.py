@@ -8,16 +8,22 @@ from scrollsec import (
     LinearSubspace,
     NonPrimeError,
     QForm,
+    ZeroVectorError,
     field_make,
     normalize_point,
+    parse_scroll,
     polarize,
+    projective_points,
     qform_rank,
     qform_restrict,
+    quadric_generators,
     row_reduce,
     span_points,
     subspace_contains,
     subspace_intersection,
 )
+from scrollsec import exactfield
+from scrollsec.delpezzo import veronese_generators
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +90,23 @@ def test_sqrt_base():
             sq = ctx.mul(a, a)
             r = ctx.sqrt_base(sq)
             assert r is not None and ctx.mul(r, r) == sq
+
+
+def test_sqrt_base_reuses_the_cached_nonresidue(monkeypatch):
+    # q = 10009 is 1 mod 4, so every root walks the 2-Sylow tower
+    calls = []
+    least = exactfield._least_nonresidue
+
+    def counted(q):
+        calls.append(q)
+        return least(q)
+
+    monkeypatch.setattr(exactfield, "_least_nonresidue", counted)
+    ctx = field_make(10009, 1)
+    for a in range(1, 1001):
+        r = ctx.sqrt_base(a * a)
+        assert r * r % 10009 == a * a % 10009
+    assert len(calls) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +206,22 @@ def test_subspace_contains_dim_mismatch(f7):
     line = span_points(f7, [(1, 0, 0)], 2)
     with pytest.raises(DimensionMismatchError):
         subspace_contains(line, (1, 0, 0, 0))
+
+
+def test_normalize_zero_vector_is_rejected(f7):
+    with pytest.raises(ZeroVectorError):
+        normalize_point(f7, (0, 0, 0))
+
+
+@pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, 2)])
+def test_projective_points_count_normalized_distinct(q, d):
+    ctx = field_make(q, d)
+    for n in range(5):
+        pts = list(projective_points(ctx, n))
+        assert len(pts) == (ctx.size**n - 1) // (ctx.size - 1)
+        assert len(set(pts)) == len(pts)
+        for p in pts:
+            assert len(p) == n and normalize_point(ctx, p) == p
 
 
 def test_subspace_intersection(f7):
@@ -317,3 +356,59 @@ def test_qform_rank_stable_under_field_extension():
                 gram[j][i] = v
         g = tuple(tuple(r) for r in gram)
         assert qform_rank(QForm(ctx, n, g)) == qform_rank(QForm(ctx2, n, g))
+
+
+# ---------------------------------------------------------------------------
+# binomial generators against the dense reference
+# ---------------------------------------------------------------------------
+
+
+def _binomial_cases(ctx):
+    for literal in ("S(3)", "S(2,3)", "S(1,2)+cone(0)", "S(1,1,2)+cone(1)"):
+        yield from quadric_generators(parse_scroll(literal), ctx)
+    yield from veronese_generators(ctx)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_binomials_match_their_dense_forms(d):
+    ctx = field_make(7, d)
+    rng = random.Random(70 + d)
+    minus_one = ctx.neg(1)
+    for b in _binomial_cases(ctx):
+        n = b.n_vars
+        dense = _form(ctx, n, [(b.i, b.j, 1), (b.k, b.l, minus_one)])
+
+        def vec():
+            return tuple(ctx.rand(rng) for _ in range(n))
+
+        for _ in range(10):
+            p, v = vec(), vec()
+            assert b.evaluate(p) == dense.evaluate(p)
+            assert polarize(b, p, v) == polarize(dense, p, v)
+            assert b.polar(p) == dense.polar(p)
+            # polar from the values alone: Q(p + v) - Q(p) - Q(v)
+            pv = tuple(ctx.add(x, y) for x, y in zip(p, v))
+            want = ctx.sub(ctx.sub(b.evaluate(pv), b.evaluate(p)), b.evaluate(v))
+            assert polarize(b, p, v) == want
+        for k in (1, 2, 3, 4):
+            rows = [vec() for _ in range(k)]
+            if not any(any(r) for r in rows):
+                continue
+            space = span_points(ctx, rows, n - 1)
+            restricted = b.restrict(space)
+            assert restricted == qform_restrict(dense, space)
+            w = tuple(ctx.rand(rng) for _ in space.rows)
+            point = [0] * n
+            for c, row in zip(w, space.rows):
+                point = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(point, row)]
+            assert restricted.evaluate(w) == b.evaluate(point)
+
+
+def test_binomial_rejects_wrong_lengths(f7):
+    b = veronese_generators(f7)[0]
+    with pytest.raises(DimensionMismatchError):
+        b.evaluate((1, 0, 0))
+    with pytest.raises(DimensionMismatchError):
+        polarize(b, (1, 0, 0), (1, 0, 0, 0, 0, 0))
+    with pytest.raises(DimensionMismatchError):
+        b.restrict(span_points(f7, [(1, 0, 0)], 2))
