@@ -47,7 +47,6 @@ from .scroll import (
     tangent_space,
 )
 from .secant import (
-    SecantSample,
     SecantSignature,
     classify_signature,
     classify_with_data,

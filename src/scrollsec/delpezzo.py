@@ -35,13 +35,10 @@ from .errors import (
 from .exactfield import (
     Binomial,
     FieldCtx,
-    LinearSubspace,
-    extension_of,
     normalize_point,
     projective_points,
     row_reduce,
     span_points,
-    unit_rows,
 )
 from .scroll import ScrollSpec, contains, scroll_literal, scroll_new
 from .secant import (
@@ -384,33 +381,17 @@ class ProjectionMap:
 def project(spec: ScrollSpec, ctx: FieldCtx, p):
     """The projection map from p and the non-normal locus of the image.
 
-    The non-normal locus is the projected span of the secant locus; its
-    projective dimension is exactly one less than the secant cone dimension.
+    The non-normal locus is the projected span of the secant locus, which is
+    the projection of the secant cone sec = <vertex, p, K>: the locus spans
+    sec or a hyperplane of it missing p.  Its projective dimension is exactly
+    one less than the secant cone dimension.
     Degree bookkeeping: the image has degree exceeding its codimension by 2.
     """
     p = validate_point(spec, ctx, p)
-    sig, _, _, sample = classify_with_data(spec, ctx, p)
+    sig, sec, _, _ = classify_with_data(spec, ctx, p)
     pivot = next(i for i, x in enumerate(p) if x)
     pmap = ProjectionMap(ctx, p, pivot)
-
-    rows = []
-    needs_ext = False
-    for rec in sample.fiber_records:
-        rows.extend(rec.space.rows)
-        needs_ext = needs_ext or rec.ctx.d == 2
-    if not rows:
-        rows = unit_rows(spec.ambient + 1, range(spec.vertex_size))
-    span_ctx = extension_of(ctx) if needs_ext else ctx
-    if rows:
-        _, sigma_rows, _ = row_reduce(span_ctx, rows, spec.ambient + 1)
-        for r in sigma_rows:
-            for x in r:
-                if x >= ctx.q:
-                    raise InvariantError("secant locus span not rational")
-        images = [pmap.apply_linear(r) for r in sigma_rows]
-        nonnormal = span_points(ctx, [v for v in images if any(v)], spec.ambient - 1)
-    else:
-        nonnormal = LinearSubspace(ctx, spec.ambient - 1, ())
+    nonnormal = span_points(ctx, [pmap.apply_linear(r) for r in sec.rows], spec.ambient - 1)
     if nonnormal.pdim != sig.sec_dim - 1:
         raise InvariantError(
             f"non-normal locus dimension {nonnormal.pdim} != {sig.sec_dim - 1}"

@@ -194,7 +194,7 @@ def _least_nonresidue(q: int) -> int:
     raise NonPrimeError(f"no quadratic non-residue mod {q}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def field_make(q: int, d: int = 1) -> FieldCtx:
     """Build the arithmetic context for GF(q^d).
 

@@ -10,6 +10,8 @@ shortcut used everywhere else is itself under test.
 The only concession to speed is that the pairwise scans are vectorized with
 numpy; over GF(q^2) the two coordinate components are carried in separate
 integer arrays, which keeps all arithmetic plain matrix products mod q.
+numpy is imported inside the functions that use it, so the classification
+path, which imports this module through the package, never loads it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-
-import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -86,15 +86,26 @@ def _expected_count(spec: ScrollSpec, size: int) -> int:
     return base * size ** (spec.h + 1) + vert
 
 
-@lru_cache(maxsize=8)
 def enumerate_points(spec: ScrollSpec, ctx: FieldCtx, budget: int = 10**7) -> PointTable:
-    """Every point of the scroll over the field of ctx, each exactly once."""
-    size = ctx.size
-    expected = _expected_count(spec, size)
+    """Every point of the scroll over the field of ctx, each exactly once.
+
+    The budget is checked on every call; the table itself is cached on
+    (spec, ctx) alone, so calls with different budgets share one build.
+    """
+    expected = _expected_count(spec, ctx.size)
     if expected > budget:
         raise BudgetExceededError(
             f"point table of size {expected} exceeds budget {budget}"
         )
+    return _point_table(spec, ctx)
+
+
+@lru_cache(maxsize=8)
+def _point_table(spec: ScrollSpec, ctx: FieldCtx) -> PointTable:
+    import numpy as np
+
+    size = ctx.size
+    expected = _expected_count(spec, size)
     pts = []
     params = []
     seen = set()
@@ -133,6 +144,11 @@ def enumerate_points(spec: ScrollSpec, ctx: FieldCtx, budget: int = 10**7) -> Po
     )
 
 
+# table builds show as cache misses of enumerate_points itself
+enumerate_points.cache_info = _point_table.cache_info
+enumerate_points.cache_clear = _point_table.cache_clear
+
+
 def _line_points(ctx: FieldCtx) -> list:
     """P^1 with (0:1) first: the order of the point tables."""
     *finite, infinity = projective_points(ctx, 2)
@@ -141,6 +157,8 @@ def _line_points(ctx: FieldCtx) -> list:
 
 def _pair_data(spec: ScrollSpec, base_ctx: FieldCtx, table: PointTable, p):
     """Vectorized A/B data of the line test for p against the whole table."""
+    import numpy as np
+
     gens = quadric_generators(spec, base_ctx)
     a_vals = [g.evaluate(p) for g in gens]
     if not any(a_vals):
@@ -165,6 +183,8 @@ def brute_secant_locus(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7):
     of the scroll; it must equal the fast path's union of ruling cuts over the
     same field.
     """
+    import numpy as np
+
     base_ctx = base_of(ctx)
     table = enumerate_points(spec, ctx, budget)
     secant_mask, _ = _pair_data(spec, base_ctx, table, p)
@@ -173,6 +193,8 @@ def brute_secant_locus(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7):
 
 def brute_tangent_witnesses(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7):
     """Indices of non-vertex table points whose tangent space contains p."""
+    import numpy as np
+
     base_ctx = base_of(ctx)
     table = enumerate_points(spec, ctx, budget)
     _, tangent_mask = _pair_data(spec, base_ctx, table, p)
@@ -325,6 +347,8 @@ def veronese_secant_counts(ctx: FieldCtx, mvecs) -> np.ndarray:
     prime field only), applies the pairwise line test against the full
     rational point table and returns the number of hits.
     """
+    import numpy as np
+
     from .delpezzo import veronese_generators, veronese_point_table
 
     if ctx.d != 1:

@@ -7,34 +7,60 @@ B_i the polar of Q_i at (p, q), share a common linear factor besides l.  That
 happens iff the rows (A_i, B_i) are pairwise proportional, a condition linear
 in q.  On each ruling the generators vanish identically, so the secant locus
 meets every ruling in a linear subspace: the kernel of a small matrix whose
-entries are polynomials in the P^1 coordinate.
+entries are polynomials in the P^1 coordinate (`fiber_secant_space`,
+`secant_locus_points`).
 
-The classification pipeline therefore runs fiber-wise on the smooth scroll
+The classification does not scan rulings.  It works on the smooth scroll
 obtained by deleting the vertex coordinates (membership is insensitive to the
-vertex part), finds the rulings that meet the locus by exact root-finding,
-accumulates the span, and reads off the pair
+vertex part), solves one linear system over the ground field, and reads off
+the pair
 
-    s    = projective dimension of the span, minus vertex contribution,
-    rank = Gram rank of the unique hyperquadric cut on the span,
+    s    = projective dimension of the secant cone, minus vertex contribution,
+    rank = Gram rank of the unique hyperquadric cut on the cone,
 
 which lands in one of exactly six legal combinations.
 
-Why searching degree <= 2 extensions suffices: each locus type is cut out over
-the ground field, so its reduced components form a single Galois orbit of size
-at most two (a pair of points, a pair of rulings).  Components of a
-positive-dimensional locus meet every ruling, and the zero-dimensional loci
-sit over at most two rulings, which are then conjugate over GF(q^2) at worst.
-A pair of conjugate entry points is the forcing case.  It lies over the two
-roots of an irreducible quadratic factor, over GF(q), of a pivot polynomial,
-which `_binpoly` solves by the quadratic formula; no polynomial with GF(q^2)
-coefficients is ever factored.  The search over GF(q) and GF(q^2) always
-runs in full; cutting it at GF(q) would miss exactly those chords and report
-the point as Empty2Z.
+Why one linear solve over GF(q) gives the geometric answer.  Let M(x) be the
+2 x d catalecticant matrix of the smooth scroll, whose columns are the
+consecutive coordinate pairs of each block.  `quadric_generators` lists all
+C(d, 2) of its 2 x 2 minors, and x -> M(x) is linear and injective.
+
+* For p off the scroll, P = M(p) has rank 2 and the minors at p are the
+  Pluecker vector r1 ^ r2 of its rows.  The polar of the minors at p, applied
+  to v with V = M(v) of rows v1, v2, is v1 ^ r2 + r1 ^ v2.
+* That vanishes exactly when V = A.P with trace A = 0: write v1 and v2 in
+  terms of r1, r2 and a complement W; the r1 ^ r2 part is the trace, and the
+  W ^ r2 and r1 ^ W parts are the complement components.  So the common kernel
+  K of the polar covectors `g.polar(p)` is {v : M(v) in sl2.P}, and p is not
+  in K because trace I = 2.
+* The pair test's proportional rows B = t.A say that q - (t/2) p lies in K.
+  So the secant locus is Sigma_p = X n L_p with L_p = <p, K> =
+  {v : M(v) in gl2.P}.  Conversely every point of X n L_p passes the test,
+  since on L_p the polar at p is trace A times the minors of P.
+* On L_p every minor restricts to Q_g(p) * det A.  So the nonzero generator
+  restrictions are proportional, and the check below that they are is a
+  theorem, kept as a guard against a wrong generator list.
+* det is nonzero at A = I, that is at p.  Over the algebraic closure the
+  zero set of a nonzero quadric on a projective space of dimension >= 1 spans
+  at least a hyperplane, and with p it spans the whole space; it is empty on
+  a point.  Hence the secant cone, the span of p and Sigma_p, is <p, K>: it
+  is defined over GF(q) and needs no extension field.
+* A point x of the smooth scroll has p in its tangent space iff the polar of
+  the minors at x vanishes at p, iff x lies in K.  So p is on the tangent
+  variety iff K meets X.  On K the minors restrict to Q_g(p) * det A, a
+  quadric with a zero over the closure once pdim K >= 1; a single point of K
+  must itself lie on the scroll.  And p is on the secant variety iff Sigma_p
+  is nonempty, iff K is nonempty.
+
+The stratum labels stay an independent check of this classification: the
+memberships A, B and U are closed forms of their own, and the brute-force
+oracle (`oracle.brute_membership`) decides all five memberships by exhaustive
+enumeration without using K.
 
 Each external point gets one analysis.  `classify_with_data` validates p and
-looks the analysis (signature, cone, quadric, witness sample) up in a small
-cache keyed on the validated point, so the stratum and Del Pezzo code read the
-ruling scan that classification ran instead of running it again.
+looks the analysis (signature, cone, quadric, kernel K) up in a small cache
+keyed on the validated point, so the stratum and Del Pezzo code read the
+solve that classification ran instead of running it again.
 """
 
 from __future__ import annotations
@@ -42,7 +68,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import _binpoly as bp
 from .errors import (
     BudgetExceededError,
     PointOnVarietyError,
@@ -54,7 +79,6 @@ from .exactfield import (
     LinearSubspace,
     QForm,
     base_of,
-    extension_of,
     normalize_point,
     polarize,
     projective_points,
@@ -73,7 +97,6 @@ __all__ = [
     "LABELS",
     "SIGNATURE_TABLE",
     "SecantSignature",
-    "SecantSample",
     "secant_pair_test",
     "fiber_secant_space",
     "secant_cone_and_quadric",
@@ -122,24 +145,6 @@ class SecantSignature:
     label: str
     locus_dim: int
     depth_pred: int
-
-
-@dataclass(frozen=True)
-class FiberRecord:
-    """One ruling that meets the secant locus: its P^1 point and the cut subspace."""
-
-    x: tuple
-    ctx: FieldCtx
-    space: LinearSubspace
-
-
-@dataclass(frozen=True)
-class SecantSample:
-    """Witness data gathered while classifying: locus points and per-ruling cuts."""
-
-    points: tuple
-    fiber_records: tuple
-    all_fibers_active: bool
 
 
 # ---------------------------------------------------------------------------
@@ -238,67 +243,6 @@ def _secant_covectors(spec0: ScrollSpec, ctx: FieldCtx, pbar):
     return rows
 
 
-def _tangency_covectors(spec0: ScrollSpec, ctx: FieldCtx, pbar):
-    """Rows 2 p G_i for every generator; their common kernel on a ruling is the
-    set of points whose tangent space contains p."""
-    gens = quadric_generators(spec0, ctx)
-    if not any(g.evaluate(pbar) for g in gens):
-        raise PointOnVarietyError("p lies on the scroll")
-    return [g.polar(pbar) for g in gens]
-
-
-def _poly_fiber_matrix(spec0: ScrollSpec, covectors):
-    """Entry (i, j): the covector paired with block j along the ruling at
-    x = (1 : tau), as a polynomial in tau.  The coefficients are just the
-    covector slice over block j."""
-    mat = []
-    for w in covectors:
-        row = []
-        for i, ai in enumerate(spec0.a):
-            start = spec0.block_starts[i]
-            row.append(bp.pnorm([w[start + l] for l in range(ai + 1)]))
-        mat.append(row)
-    return mat
-
-
-def _poly_rank_and_pivots(ctx: FieldCtx, mat, ncols: int):
-    """Rank over the rational function field and the pivot polynomials.
-
-    Division-free elimination.  Wherever the numeric rank drops below the
-    generic rank, SOME pivot polynomial vanishes: evaluating the recorded row
-    operations at such a point can only lose rank, yet nonvanishing pivots
-    would exhibit a full echelon minor.  So the exceptional rulings are among
-    the roots of the pivots, each kept separately to avoid degree blow-up.
-    """
-    q = ctx.q
-    rows = [[list(e) for e in row] for row in mat if any(e for e in row)]
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            e = rows[i][col]
-            if e and (piv is None or bp.pdeg(e) < bp.pdeg(rows[piv][col])):
-                piv = i
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pe = prow[col]
-        for i in range(rank + 1, len(rows)):
-            e = rows[i][col]
-            if e:
-                for j in range(col, ncols):
-                    rows[i][j] = bp.psub(
-                        q, bp.pmul(q, pe, rows[i][j]), bp.pmul(q, e, prow[j])
-                    )
-        pivots.append(pe)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank, pivots
-
-
 def _eval_fiber_matrix(spec0: ScrollSpec, ctx_x: FieldCtx, covectors, x):
     """Numeric fiber matrix at x = (s, t) over the field of x."""
     s, t = x
@@ -341,62 +285,11 @@ def _fiber_kernel_vectors(spec0: ScrollSpec, ctx_x: FieldCtx, covectors, x):
     return out
 
 
-def _candidate_and_sample_fibers(spec0: ScrollSpec, ctx: FieldCtx, covectors):
-    """Find every ruling that can meet the locus.
-
-    Returns (all_active, fibers) where fibers is a list of
-    (x, ctx_of_x, kernel_vectors); in the all_active case the list holds a
-    deterministic selection of rulings sufficient to span the locus, plus all
-    exceptional rulings where the cut jumps in dimension.
-    """
-    mat = _poly_fiber_matrix(spec0, covectors)
-    generic_rank, pivots = _poly_rank_and_pivots(ctx, mat, spec0.n)
-    all_active = generic_rank < spec0.n
-
-    seen = set()
-    fibers = []
-
-    def try_fiber(x, ctx_x):
-        key = normalize_point(ctx_x, x)
-        if (ctx_x.d, key) in seen:
-            return
-        seen.add((ctx_x.d, key))
-        vecs = _fiber_kernel_vectors(spec0, ctx_x, covectors, x)
-        if vecs:
-            fibers.append((key, ctx_x, tuple(vecs)))
-
-    # exceptional rulings: roots of the pivot polynomials, plus infinity
-    try_fiber((0, 1), ctx)
-    for pivot in pivots:
-        base_roots, ctx2, ext_roots = bp.roots_base_and_ext(ctx, pivot)
-        for r in base_roots:
-            try_fiber((1, r), ctx)
-        for r in ext_roots:
-            try_fiber((1, r), ctx2)
-
-    if all_active:
-        # every ruling meets the locus; a handful of rational ones spans it
-        for tau in range(min(8, ctx.q)):
-            try_fiber((1, tau), ctx)
-    return all_active, tuple(fibers)
-
-
 def _lift_rows(spec: ScrollSpec, base_rows):
     """Prepend vertex unit rows and shift base-scroll rows past the vertex block."""
     shift = spec.vertex_size
     rows = unit_rows(spec.ambient + 1, range(shift))
     rows.extend((0,) * shift + tuple(r) for r in base_rows)
-    return rows
-
-
-def _downcast_rows(ctx: FieldCtx, rows):
-    """Check RREF rows over GF(q^2) are rational and reinterpret them over GF(q)."""
-    for r in rows:
-        for x in r:
-            if x >= ctx.q:
-                raise UnclassifiableSignatureError(
-                    "span of the secant cone is not defined over the base field"
-                )
     return rows
 
 
@@ -440,10 +333,13 @@ def validate_point(spec: ScrollSpec, ctx: FieldCtx, p) -> tuple:
 
 
 def classify_with_data(spec: ScrollSpec, ctx: FieldCtx, p):
-    """The analysis of p: (signature, secant cone, quadric, witness sample).
+    """The analysis of p: (signature, secant cone, quadric, polar kernel K).
 
-    Validates p, then reads the analysis from a cache keyed on the validated
-    point; every other public view of the secant locus goes through here.
+    K is the common kernel of the polar covectors of the generators at the
+    reduced point, a subspace of the base scroll's ambient space (see the
+    module docstring).  Validates p, then reads the analysis from a cache
+    keyed on the validated point; every other public view of the secant locus
+    goes through here.
     """
     return _analysis(spec, ctx, validate_point(spec, ctx, p))
 
@@ -452,22 +348,14 @@ def classify_with_data(spec: ScrollSpec, ctx: FieldCtx, p):
 def _analysis(spec: ScrollSpec, ctx: FieldCtx, p: tuple):
     spec0 = spec.base()
     pbar = reduced_point(spec, p)
-    all_active, fibers = _candidate_and_sample_fibers(
-        spec0, ctx, _secant_covectors(spec0, ctx, pbar)
-    )
-
-    needs_ext = any(fctx.d == 2 for _, fctx, _ in fibers)
-    span_ctx = extension_of(ctx) if needs_ext else ctx
-    vectors = [pbar]
-    for _, _, vecs in fibers:
-        vectors.extend(vecs)
-    _, ech, _ = row_reduce(span_ctx, vectors, spec0.ambient + 1)
-    if needs_ext:
-        ech = _downcast_rows(ctx, ech)
+    gens0 = quadric_generators(spec0, ctx)
+    nv0 = spec0.ambient + 1
+    _, _, kernel = row_reduce(ctx, [g.polar(pbar) for g in gens0], nv0)
+    polar_kernel = LinearSubspace(ctx, spec0.ambient, tuple(kernel))
+    _, ech, _ = row_reduce(ctx, [pbar] + kernel, nv0)
     sec0 = LinearSubspace(ctx, spec0.ambient, tuple(ech))
 
     # the hyperquadric: all nonzero generator restrictions agree up to scale
-    gens0 = quadric_generators(spec0, ctx)
     quadric0 = None
     norm_ref = None
     for g in gens0:
@@ -498,18 +386,6 @@ def _analysis(spec: ScrollSpec, ctx: FieldCtx, p: tuple):
             gram[vs + i][vs + j] = quadric0.gram[i][j]
     quadric = QForm(ctx, k, tuple(tuple(r) for r in gram))
 
-    records = []
-    points = []
-    for x, fctx, vecs in fibers:
-        rows = _lift_rows(spec, vecs)
-        _, ech_f, _ = row_reduce(fctx, rows, spec.ambient + 1)
-        records.append(
-            FiberRecord(x, fctx, LinearSubspace(fctx, spec.ambient, tuple(ech_f)))
-        )
-        for v in vecs:
-            points.append(normalize_point(fctx, tuple([0] * vs + list(v))))
-    sample = SecantSample(tuple(points), tuple(records), all_active)
-
     h = spec.h
     s = sec.pdim - h - 1
     rank = qform_rank(quadric)
@@ -529,17 +405,18 @@ def _analysis(spec: ScrollSpec, ctx: FieldCtx, p: tuple):
         locus_dim=h + LOCUS_JUMP[label],
         depth_pred=sec.pdim + 1,
     )
-    return sig, sec, quadric, sample
+    return sig, sec, quadric, polar_kernel
 
 
 def secant_cone_and_quadric(spec: ScrollSpec, ctx: FieldCtx, p):
-    """Secant cone of p, the hyperquadric cutting the locus on it, and witnesses.
+    """Secant cone of p, the hyperquadric cutting the locus on it, and K.
 
-    Returns (sec, quadric, sample): sec is a linear subspace containing p, the
+    Returns (sec, quadric, K): sec is a linear subspace containing p, the
     quadric lives on sec's basis coordinates, and the zero set of the quadric
     on sec is exactly the secant locus.  All nonzero generator restrictions to
     sec must be pairwise proportional; a violation raises
-    UnclassifiableSignatureError rather than guessing.
+    UnclassifiableSignatureError rather than guessing.  K is the polar kernel
+    of the reduced point, with sec = the vertex joined with <p, K>.
     """
     return classify_with_data(spec, ctx, p)[1:]
 

@@ -19,10 +19,12 @@ vector of one common ruling.  The degree-1 blocks are unconstrained.  That
 closed form is a derived fact, not an assumption; the brute-force oracle
 checks it over small fields.
 
-Tan is decided by its own ruling scan, run once per call.  Sec and the
-signature the stratum label is checked against are read from the one cached
-secant analysis of p (`secant.classify_with_data`), so a point's secant locus
-is computed once however many of these tests ask about it.
+Tan and Sec are read from the polar kernel K of the one cached secant
+analysis of p (`secant.classify_with_data`, whose docstring proves both
+rules): p is on the secant side iff K is nonempty, and on the tangent side iff
+K is a line or more, or a single point of the scroll.  The signature the
+stratum label is checked against comes from the same analysis, so a point's
+secant locus is computed once however many of these tests ask about it.
 
 The stratum decision tree runs in the fixed order
 quadric-surface / two-lines / conic / double-point / two-points / empty, so a
@@ -37,8 +39,6 @@ from dataclasses import dataclass
 from .exactfield import FieldCtx
 from .scroll import ScrollSpec, contains
 from .secant import (
-    _candidate_and_sample_fibers,
-    _tangency_covectors,
     classify_signature,
     classify_with_data,
     reduced_point,
@@ -160,18 +160,15 @@ def _geometric_ratio(ctx: FieldCtx, block):
 
 def member_tangent(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
     """p lies in the join of the vertex with the tangent variety of the base:
-    some ruling carries a point whose tangent space contains p."""
-    spec0 = spec.base()
-    covectors = _tangency_covectors(spec0, ctx, reduced_point(spec, p))
-    all_active, fibers = _candidate_and_sample_fibers(spec0, ctx, covectors)
-    return all_active or bool(fibers)
+    the polar kernel K of p meets the base scroll over the algebraic closure."""
+    kernel = classify_with_data(spec, ctx, p)[3]
+    return kernel.pdim >= 1 or (kernel.pdim == 0 and contains(spec.base(), ctx, kernel.rows[0]))
 
 
 def member_secant_variety(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
     """p lies in the join of the vertex with the secant variety of the base:
-    some ruling meets the secant locus of p."""
-    sample = classify_with_data(spec, ctx, p)[3]
-    return sample.all_fibers_active or bool(sample.fiber_records)
+    the polar kernel K of p is nonempty."""
+    return not classify_with_data(spec, ctx, p)[3].is_empty()
 
 
 def stratum_geometric(spec: ScrollSpec, ctx: FieldCtx, p) -> MembershipReport:

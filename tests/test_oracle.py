@@ -149,3 +149,54 @@ def test_tangency_matches_jacobian(f5):
                 from scrollsec import subspace_contains, tangent_space
 
                 assert subspace_contains(tangent_space(spec, f5, param), p)
+
+
+def test_enumerate_points_builds_once_whatever_the_budget(f5):
+    from scrollsec import oracle
+
+    spec = scroll_new([2, 2])
+    enumerate_points.cache_clear()
+    first = enumerate_points(spec, f5, 10**7)
+    assert enumerate_points(spec, f5) is first
+    assert oracle.enumerate_points(spec, f5, budget=5000) is first
+    assert enumerate_points.cache_info().misses == 1
+    with pytest.raises(BudgetExceededError):
+        enumerate_points(spec, f5, 10)
+
+
+# (type, vertex dimension, fields): every exterior point is checked
+CENSUS = (
+    ((3,), -1, (3, 5)), ((4,), -1, (3, 5)), ((1, 2), -1, (3, 5)), ((2, 2), -1, (3, 5)),
+    ((1, 3), -1, (3,)), ((1, 1, 1), -1, (3,)), ((1, 1, 2), -1, (3,)),
+    ((1, 2), 0, (3,)), ((3,), 0, (3, 5)),
+)
+
+
+def test_polar_kernel_census_matches_brute_force():
+    """The secant cone <vertex, p, K> is the span of p and the brute-force
+    locus over GF(q^2), and the kernel's Tan and Sec verdicts are the brute
+    pair scan's, at every exterior point of small types.  in_Tan and in_Sec
+    are read off the same masks `brute_membership` reads."""
+    from scrollsec import classify_with_data, contains, projective_points, row_reduce
+    from scrollsec.oracle import _pair_data
+
+    checked = 0
+    for a, h, fields in CENSUS:
+        spec = scroll_new(a, h)
+        nv = spec.ambient + 1
+        for q in fields:
+            ctx, ctx2 = field_make(q, 1), field_make(q, 2)
+            table = enumerate_points(spec, ctx2)
+            for p in projective_points(ctx, nv):
+                if contains(spec, ctx, p):
+                    continue
+                checked += 1
+                _, sec, _, _ = classify_with_data(spec, ctx, p)
+                rep = stratum_geometric(spec, ctx, p)
+                secant_mask, tangent_mask = _pair_data(spec, ctx, table, p)
+                locus = [table.points[i] for i in secant_mask.nonzero()[0]]
+                _, rows, _ = row_reduce(ctx2, [p] + locus, nv)
+                assert tuple(rows) == sec.rows, (spec, q, p)
+                assert rep.in_Sec == bool((secant_mask & table.nonvertex).any()), (spec, q, p)
+                assert rep.in_Tan == bool((tangent_mask & table.nonvertex).any()), (spec, q, p)
+    assert checked == 9020

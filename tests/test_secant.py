@@ -13,9 +13,11 @@ from scrollsec import (
     fiber_secant_space,
     field_make,
     normalize_point,
+    projective_points,
     qform_rank,
     scroll_new,
     secant_cone_and_quadric,
+    secant_locus_points,
     secant_pair_test,
     stratum_geometric,
     subspace_contains,
@@ -73,14 +75,17 @@ def test_fiber_secant_space_s111_is_line(f7):
 
 
 def test_secant_cone_chord_case(f7, s3):
-    sec, quadric, sample = secant_cone_and_quadric(s3, f7, (1, 0, 0, 1))
+    p = (1, 0, 0, 1)
+    sec, quadric, kernel = secant_cone_and_quadric(s3, f7, p)
     assert sec.pdim == 1
     assert subspace_contains(sec, (1, 0, 0, 1))
     assert subspace_contains(sec, (1, 0, 0, 0))
     assert subspace_contains(sec, (0, 0, 0, 1))
     assert qform_rank(quadric) == 2
-    assert not sample.all_fibers_active
-    assert len(sample.fiber_records) == 2
+    # the polar kernel is one point off the cubic: a chord, no tangent
+    assert kernel.rows == ((1, 0, 0, 6),)
+    assert not contains(s3, f7, kernel.rows[0])
+    assert secant_locus_points(s3, f7, p) == {(1, 0, 0, 0), (0, 0, 0, 1)}
 
 
 def test_secant_cone_tangent_case(f7, s3):
@@ -93,28 +98,36 @@ def test_secant_cone_tangent_case(f7, s3):
 def test_secant_cone_s111_rank2_point(f7):
     spec = scroll_new([1, 1, 1])
     p = (1, 0, 0, 1, 0, 0)
-    sec, quadric, sample = secant_cone_and_quadric(spec, f7, p)
+    sec, quadric, kernel = secant_cone_and_quadric(spec, f7, p)
     assert sec.pdim == 3
     assert qform_rank(quadric) == 4
-    assert sample.all_fibers_active
+    assert kernel.pdim == 2
+    # every ruling meets the locus
+    for x in projective_points(f7, 2):
+        assert not fiber_secant_space(spec, f7, p, x).is_empty()
 
 
 def test_sample_points_lie_on_locus(f7):
+    """Ruling cuts lie on the locus, and kernel points of the scroll are
+    tangency points, over GF(7) and GF(49)."""
+    f49 = field_make(7, 2)
     rng = random.Random(8)
     for a, h in (([3], -1), ([1, 2], -1), ([1, 2], 0), ([2, 3], -1)):
         spec = scroll_new(a, h)
         for _ in range(8):
             p = external_point(spec, f7, rng)
-            _, _, sample = secant_cone_and_quadric(spec, f7, p)
-            for rec in sample.fiber_records:
-                gens_ctx = rec.ctx
-                for q in [normalize_point(gens_ctx, r) for r in rec.space.rows]:
-                    verdict = secant_pair_test(spec, gens_ctx, p, q)
-                    assert verdict in (SECANT, TANGENT_CONTACT)
-            for i, q in enumerate(sample.points):
-                rec_ctx = field_make(7, 2) if any(x >= 7 for x in q) else f7
-                verdict = secant_pair_test(spec, rec_ctx, p, q)
-                assert verdict in (SECANT, TANGENT_CONTACT)
+            _, sec, _, kernel = classify_with_data(spec, f7, p)
+            for ctx_x in (f7, f49):
+                for x in [(0, 1), (1, ctx_x.rand(rng)), (1, ctx_x.rand(rng))]:
+                    cut = fiber_secant_space(spec, ctx_x, p, x)
+                    for q in [normalize_point(ctx_x, r) for r in cut.rows]:
+                        verdict = secant_pair_test(spec, ctx_x, p, q)
+                        assert verdict in (SECANT, TANGENT_CONTACT)
+            for row in kernel.rows:
+                q = (0,) * spec.vertex_size + row
+                if contains(spec, f7, q):
+                    assert secant_pair_test(spec, f7, p, q) == TANGENT_CONTACT
+                assert subspace_contains(sec, q)
 
 
 def test_quadric_zero_set_on_cone_is_the_locus():
@@ -202,11 +215,11 @@ def test_conjugate_two_points_needs_extension():
     p = tuple(f25.add(a, b) for a, b in zip(q1, q2))
     assert all(f25.is_base(x) for x in p)
     assert not contains(s3, f5, p)
-    sig, _, _, sample = classify_with_data(s3, f5, p)
+    sig = classify_signature(s3, f5, p)
     assert sig.label == "TwoPoints"
-    # the chord is visible only over GF(q^2): both rulings it meets are conjugate
-    assert sample.fiber_records
-    assert all(rec.ctx.d == 2 for rec in sample.fiber_records)
+    # the chord is visible only over GF(q^2): its two points are conjugate
+    assert secant_locus_points(s3, f5, p) == set()
+    assert len(secant_locus_points(s3, f25, p)) == 2
 
 
 def _pow(ctx, x, k):
@@ -277,12 +290,14 @@ def test_vertex_contained_in_every_fiber_space():
         spec = scroll_new(a, h)
         for _ in range(10):
             p = external_point(spec, f7, rng)
-            _, _, sample = secant_cone_and_quadric(spec, f7, p)
-            for rec in sample.fiber_records:
+            sec, _, _ = secant_cone_and_quadric(spec, f7, p)
+            for x in projective_points(f7, 2):
+                space = fiber_secant_space(spec, f7, p, x)
                 for i in range(spec.vertex_size):
                     e = [0] * (spec.ambient + 1)
                     e[i] = 1
-                    assert subspace_contains(rec.space, tuple(e))
+                    assert subspace_contains(space, tuple(e))
+                    assert subspace_contains(sec, tuple(e))
 
 
 def test_cone_and_base_signatures_agree():
@@ -310,37 +325,68 @@ def test_classify_with_data_consistency(f7):
     rng = random.Random(55)
     for _ in range(10):
         p = external_point(spec, f7, rng)
-        sig, sec, quadric, sample = classify_with_data(spec, f7, p)
+        sig, sec, quadric, kernel = classify_with_data(spec, f7, p)
         assert sec.pdim == sig.sec_dim
         assert qform_rank(quadric) == sig.rank
         assert subspace_contains(sec, p)
-        for rec in sample.fiber_records:
-            for row in rec.space.rows:
-                if rec.ctx.d == 1:
-                    assert subspace_contains(sec, row)
+        # sec = <p, K> with p off K
+        assert kernel.pdim == sec.pdim - 1
+        assert not subspace_contains(kernel, p)
+        for row in kernel.rows:
+            assert subspace_contains(sec, row)
 
 
-def test_one_secant_scan_and_one_tangency_scan_per_point(monkeypatch, f7):
-    from scrollsec import secant, strata
+def test_one_polar_solve_per_point(monkeypatch, f7):
+    """Classification, strata and projection share one polar-kernel solve
+    (two row reductions) and scan no ruling."""
+    from scrollsec import project, secant
 
     spec = scroll_new([1, 2], 0)
     p = external_point(spec, f7, random.Random(8))
-    scans = []
+    calls = []
 
-    def counted(module, name, kind):
-        real = getattr(module, name)
+    def counted(name):
+        real = getattr(secant, name)
 
         def wrapper(*args):
-            scans.append(kind)
+            calls.append(name)
             return real(*args)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(secant, name, wrapper)
 
-    counted(secant, "_secant_covectors", "secant")
-    counted(strata, "_tangency_covectors", "tangency")
-    counted(secant, "_candidate_and_sample_fibers", "scan")
-    counted(strata, "_candidate_and_sample_fibers", "scan")
+    counted("row_reduce")
+    counted("_secant_covectors")
+    counted("_fiber_kernel_vectors")
     secant._analysis.cache_clear()
     classify_with_data(spec, f7, p)
     stratum_geometric(spec, f7, p)
-    assert sorted(scans) == ["scan", "scan", "secant", "tangency"]
+    project(spec, f7, p)
+    assert calls == ["row_reduce", "row_reduce"]
+    assert secant._analysis.cache_info().misses == 1
+
+
+def test_classification_path_does_not_load_numpy():
+    """numpy serves only the brute-force oracle; importing the package and
+    classifying a point must not load it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "from scrollsec import classify_with_data, field_make, project, scroll_new,"
+        " stratum_geometric\n"
+        "spec, ctx, p = scroll_new([1, 2], 0), field_make(7), (1, 2, 3, 4, 5, 6)\n"
+        "classify_with_data(spec, ctx, p)\n"
+        "stratum_geometric(spec, ctx, p)\n"
+        "project(spec, ctx, p)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
