@@ -26,9 +26,9 @@ quadratics.  Cantor-Zassenhaus (1981) splits g1 and g2 into pieces of degree
 at most 2: over GF(q^d) the roots z with chi(z + k) = 1 lie in
 gcd((x + k)^((q^d - 1)/2) - 1, g) for the shifts k = 0, 1, 2, ...
 
-No classification call reaches this module: the secant cone is now the polar
-kernel solve of `secant`, which needs no roots.  It stays for its own tests
-and for the benchmark tracer, which imports it to hook root finding.
+No classification call reaches this module: the secant cone comes from the
+polar-kernel solve in `secant`, which needs no roots.  It stays for its own
+tests and for the benchmark tracer, which imports it to hook root finding.
 """
 
 from __future__ import annotations

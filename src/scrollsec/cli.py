@@ -7,7 +7,7 @@ reports.
 
 Each point is analysed once: `classify` reads the signature and the strata
 from the same cached secant analysis, and no option changes the mathematics
-(the ruling search always covers GF(q) and GF(q^2)).
+(one polar solve over GF(q) gives the answer over the algebraic closure).
 
 Exit codes: 0 success/agreement, 2 unclassifiable signature data, 3 label
 disagreement, failed verification or a broken invariant (InvariantError), 64
