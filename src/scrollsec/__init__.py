@@ -28,6 +28,7 @@ from .exactfield import (
     qform_rank,
     qform_restrict,
     row_reduce,
+    rref,
     span_points,
     subspace_contains,
     subspace_intersection,

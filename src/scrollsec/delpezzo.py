@@ -37,7 +37,7 @@ from .exactfield import (
     FieldCtx,
     normalize_point,
     projective_points,
-    row_reduce,
+    rref,
     span_points,
 )
 from .scroll import ScrollSpec, contains, scroll_literal, scroll_new
@@ -46,7 +46,7 @@ from .secant import (
     SECANT,
     TANGENT_CONTACT,
     SecantSignature,
-    classify_with_data,
+    _analysis,
     pair_test_with_generators,
     validate_point,
 )
@@ -388,7 +388,7 @@ def project(spec: ScrollSpec, ctx: FieldCtx, p):
     Degree bookkeeping: the image has degree exceeding its codimension by 2.
     """
     p = validate_point(spec, ctx, p)
-    sig, sec, _, _ = classify_with_data(spec, ctx, p)
+    sig, sec, _, _ = _analysis(spec, ctx, p)
     pivot = next(i for i, x in enumerate(p) if x)
     pmap = ProjectionMap(ctx, p, pivot)
     nonnormal = span_points(ctx, [pmap.apply_linear(r) for r in sec.rows], spec.ambient - 1)
@@ -420,8 +420,7 @@ def vec_to_sym3(v):
 
 
 def sym3_rank(ctx: FieldCtx, m) -> int:
-    rank, _, _ = row_reduce(ctx, [list(r) for r in m], 3)
-    return rank
+    return rref(ctx, m, 3)[0]
 
 
 def veronese_embed(ctx: FieldCtx, v):

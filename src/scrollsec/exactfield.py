@@ -40,6 +40,7 @@ __all__ = [
     "base_of",
     "is_prime",
     "row_reduce",
+    "rref",
     "normalize_point",
     "projective_points",
     "unit_rows",
@@ -52,6 +53,12 @@ __all__ = [
     "polarize",
     "qform_restrict",
     "qform_rank",
+    "array_add",
+    "array_sub",
+    "array_mul",
+    "inverse_array",
+    "normalize_rows",
+    "pivot_rows",
 ]
 
 
@@ -261,6 +268,16 @@ def _rref(ctx: FieldCtx, rows, cols: int):
     return rank, [tuple(r) for r in work[:rank]], pivots
 
 
+def rref(ctx: FieldCtx, rows, cols: int):
+    """Rank and reduced row echelon rows over GF(q^d), without the kernel.
+
+    The echelon rows are those of `row_reduce`; callers that only need the
+    row space or the rank skip its kernel pass.
+    """
+    rank, echelon, _ = _rref(ctx, rows, cols)
+    return rank, echelon
+
+
 def row_reduce(ctx: FieldCtx, rows, cols: int | None = None):
     """Reduced row echelon form over GF(q^d).
 
@@ -366,7 +383,7 @@ def span_points(ctx: FieldCtx, points, ambient: int) -> LinearSubspace:
             raise DimensionMismatchError("point does not live in P^%d" % ambient)
     if not pts:
         return LinearSubspace(ctx, ambient, ())
-    _, ech, _ = row_reduce(ctx, pts, ambient + 1)
+    _, ech = rref(ctx, pts, ambient + 1)
     return LinearSubspace(ctx, ambient, tuple(ech))
 
 
@@ -531,8 +548,7 @@ def _dot(ctx: FieldCtx, u, v) -> int:
 
 def qform_rank(form: QForm) -> int:
     """Rank of the Gram matrix; invariant under congruence and field extension."""
-    rank, _, _ = row_reduce(form.ctx, [list(r) for r in form.gram], form.n_vars)
-    return rank
+    return rref(form.ctx, form.gram, form.n_vars)[0]
 
 
 def qform_normalized_gram(form: QForm):
@@ -546,3 +562,91 @@ def qform_normalized_gram(form: QForm):
                 tuple(ctx.mul(s, y) if y else 0 for y in row) for row in form.gram
             )
     return form.gram
+
+
+# ---------------------------------------------------------------------------
+# packed arithmetic on integer arrays
+# ---------------------------------------------------------------------------
+#
+# The brute-force oracle and the secant-locus enumeration work on whole tables
+# of packed elements at once.  These helpers take int64 numpy arrays (any
+# shapes that broadcast) and return new ones; numpy is imported only where a
+# function builds an array itself, so the classification path never loads it.
+
+
+def array_add(ctx: FieldCtx, a, b):
+    """Elementwise a + b of packed arrays."""
+    q = ctx.q
+    if ctx.d == 1:
+        return (a + b) % q
+    a1, a0 = divmod(a, q)
+    b1, b0 = divmod(b, q)
+    return (a0 + b0) % q + q * ((a1 + b1) % q)
+
+
+def array_sub(ctx: FieldCtx, a, b):
+    """Elementwise a - b of packed arrays."""
+    q = ctx.q
+    if ctx.d == 1:
+        return (a - b) % q
+    a1, a0 = divmod(a, q)
+    b1, b0 = divmod(b, q)
+    return (a0 - b0) % q + q * ((a1 - b1) % q)
+
+
+def array_mul(ctx: FieldCtx, a, b):
+    """Elementwise a * b of packed arrays."""
+    q = ctx.q
+    if ctx.d == 1:
+        return a * b % q
+    a1, a0 = divmod(a, q)
+    b1, b0 = divmod(b, q)
+    return (a0 * b0 + ctx.c * a1 * b1) % q + q * ((a0 * b1 + a1 * b0) % q)
+
+
+@lru_cache(maxsize=8)
+def inverse_array(ctx: FieldCtx):
+    """Read-only lookup table of inverses indexed by packed element; 0 maps to 0."""
+    import numpy as np
+
+    table = np.array([0] + [ctx.inv(a) for a in range(1, ctx.size)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def normalize_rows(ctx: FieldCtx, mat):
+    """Scale every row of a 2-d packed array so its first nonzero entry is 1,
+    the array form of `normalize_point`; zero rows stay zero."""
+    import numpy as np
+
+    lead = mat[np.arange(len(mat)), (mat != 0).argmax(axis=1)]
+    return array_mul(ctx, mat, inverse_array(ctx)[lead][:, None])
+
+
+def pivot_rows(ctx: FieldCtx, mats):
+    """Rows of each matrix in a packed array of shape (batch, rows, cols)
+    that Gaussian elimination takes as pivots, as a boolean mask.
+
+    The elimination runs on the whole batch at once: each column takes the
+    first row with a nonzero entry there, if any, as its pivot, and clears
+    the column from every row, the pivot row included, which leaves it zero.
+    No rows are swapped, so the pivot rows of a matrix are a basis of its
+    row space among its own rows, and their number is its rank.
+    """
+    import numpy as np
+
+    work = mats.copy()
+    picked = np.zeros(work.shape[:2], dtype=bool)
+    inv = inverse_array(ctx)
+    for col in range(work.shape[2]):
+        nonzero = work[:, :, col] != 0
+        batch = np.nonzero(nonzero.any(axis=1))[0]
+        if not len(batch):
+            continue
+        rows = nonzero[batch].argmax(axis=1)
+        picked[batch, rows] = True
+        sub = work[batch]
+        piv = sub[np.arange(len(batch)), rows]
+        piv = array_mul(ctx, piv, inv[piv[:, col]][:, None])
+        work[batch] = array_sub(ctx, sub, array_mul(ctx, sub[:, :, col, None], piv[:, None, :]))
+    return picked

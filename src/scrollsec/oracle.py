@@ -7,9 +7,21 @@ enumeration of the joins that define them.  Deliberately no reduction to the
 smooth part: the oracle works on the cone directly, so the vertex-deletion
 shortcut used everywhere else is itself under test.
 
-The only concession to speed is that the pairwise scans are vectorized with
-numpy; over GF(q^2) the two coordinate components are carried in separate
-integer arrays, which keeps all arithmetic plain matrix products mod q.
+Brute force here means exhaustive, not scalar.  Work that touches every point
+runs on numpy arrays of packed coordinates, with GF(q^2) elements either
+packed (`exactfield.array_mul` and friends) or split into their two GF(q)
+components, which turns the line tests into plain integer matrix products
+mod q:
+
+* `enumerate_points` embeds the whole parameter grid at once, normalizes the
+  rows with a table of inverses, and checks them against the closed-form
+  count; the parameters of a row are rebuilt from its index on demand.
+* the pair scan (`_pair_data`) tests every table row against p with one
+  matrix product per component, and the brute-force functions asking about
+  the same point share its masks;
+* the lift check takes the RREF of the locus from the pivot rows that span
+  it, and builds the vertex join as one array.
+
 numpy is imported inside the functions that use it, so the classification
 path, which imports this module through the package, never loads it.
 """
@@ -17,7 +29,7 @@ path, which imports this module through the package, never loads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .errors import (
@@ -28,16 +40,20 @@ from .errors import (
 )
 from .exactfield import (
     FieldCtx,
+    array_mul,
     base_of,
     normalize_point,
+    normalize_rows,
+    pivot_rows,
     projective_points,
-    row_reduce,
+    rref,
     span_points,
     unit_rows,
 )
 from .scroll import (
     ScrollPoint,
     ScrollSpec,
+    _monomial_array,
     _ruling_rows,
     embed,
     quadric_generators,
@@ -61,21 +77,55 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class PointTable:
-    """All rational points of a scroll over GF(q^d), with their parameters."""
+    """All rational points of a scroll over GF(q^d), normalized, each once.
+
+    Row order is the order of the parameters: the vertex points z of P^h
+    first, then every x of P^1 in `_line_points` order, every u of P^(n-1)
+    and every affine vertex part z, the last varying fastest.  arr0 and arr1
+    hold the two GF(q) components of the packed coordinates (arr1 is zero
+    over a prime field), nonvertex flags the rows off the vertex, and grid
+    keeps the four parameter lists (vertex points, x, u, z) that
+    `param(i)` reads row i's parameters from.  `points`, every row as a
+    tuple, is built on first use.
+    """
 
     spec: ScrollSpec
     ctx: FieldCtx
-    points: list
-    params: list
     arr0: np.ndarray
     arr1: np.ndarray
     nonvertex: np.ndarray
-    index: dict
+    grid: tuple
 
     def __len__(self):
-        return len(self.points)
+        return len(self.arr0)
+
+    def __contains__(self, p) -> bool:
+        """True when the projective point p is a row of the table."""
+        import numpy as np
+
+        k1, k0 = divmod(np.array(normalize_point(self.ctx, p), dtype=np.int64), self.ctx.q)
+        return bool(((self.arr0 == k0) & (self.arr1 == k1)).all(axis=1).any())
+
+    def packed(self, which):
+        """The packed rows picked by an index array, a mask or a slice."""
+        return self.arr0[which] + self.ctx.q * self.arr1[which]
+
+    @cached_property
+    def points(self) -> list:
+        return [tuple(r) for r in self.packed(slice(None)).tolist()]
+
+    def param(self, i: int) -> ScrollPoint:
+        """The parameters (x, u, z) whose embedding is row i."""
+        if not 0 <= i < len(self):
+            raise IndexError(f"no row {i} in a table of {len(self)} points")
+        verts, xs, us, zs = self.grid
+        if i < len(verts):
+            return ScrollPoint((0, 0), (0,) * self.spec.n, verts[i])
+        i, zi = divmod(int(i) - len(verts), len(zs))
+        xi, ui = divmod(i, len(us))
+        return ScrollPoint(xs[xi], us[ui], zs[zi])
 
 
 def _expected_count(spec: ScrollSpec, size: int) -> int:
@@ -100,47 +150,62 @@ def enumerate_points(spec: ScrollSpec, ctx: FieldCtx, budget: int = 10**7) -> Po
     return _point_table(spec, ctx)
 
 
+# rows normalized per pass, which bounds the temporaries of a large build
+_NORMALIZE_ROWS = 1 << 14
+
+
 @lru_cache(maxsize=8)
 def _point_table(spec: ScrollSpec, ctx: FieldCtx) -> PointTable:
+    """Embed every parameter triple at once, normalize, and check the count.
+
+    The rows are the points z + sum_i u_i v_i(x) of the parameter grid, so
+    the grid size is the closed-form count exactly when the embedding is
+    injective; a repeated row therefore shows as a count below the closed
+    form and raises InvariantError, like any other count mismatch.
+    """
     import numpy as np
 
-    size = ctx.size
-    expected = _expected_count(spec, size)
-    pts = []
-    params = []
-    seen = set()
+    vs, nv = spec.vertex_size, spec.ambient + 1
+    verts = list(projective_points(ctx, vs))
+    xs = _line_points(ctx)
+    us = list(projective_points(ctx, spec.n))
+    zs = list(product(range(ctx.size), repeat=vs))
+    nvert = len(verts)
+    mat = np.zeros((nvert + len(xs) * len(us) * len(zs), nv), dtype=np.int64)
+    if vs:
+        mat[:nvert, :vs] = verts
+    body = mat[nvert:].reshape(len(xs), len(us), len(zs), nv)
+    if vs:
+        body[..., :vs] = zs
+    x_arr = np.array(xs, dtype=np.int64)
+    u_arr = np.array(us, dtype=np.int64)
+    for i, (start, ai) in enumerate(zip(spec.block_starts, spec.a)):
+        cols = array_mul(ctx, u_arr[None, :, i, None], _monomial_array(ctx, x_arr, ai)[:, None, :])
+        body[..., start:start + ai + 1] = cols[:, :, None, :]
+    for s in range(0, len(mat), _NORMALIZE_ROWS):
+        mat[s:s + _NORMALIZE_ROWS] = normalize_rows(ctx, mat[s:s + _NORMALIZE_ROWS])
 
-    def push(param):
-        vec = embed(spec, ctx, param)
-        key = normalize_point(ctx, vec)
-        if key not in seen:
-            seen.add(key)
-            pts.append(key)
-            params.append(param)
-
-    vs = spec.vertex_size
-    zero_u = tuple([0] * spec.n)
-    for z in projective_points(ctx, vs):
-        push(ScrollPoint((0, 0), zero_u, z))
-    for x in _line_points(ctx):
-        for u in projective_points(ctx, spec.n):
-            for z in product(range(size), repeat=vs):
-                push(ScrollPoint(x, u, z))
-    if len(pts) != expected:
+    # distinct rows: sort, then compare neighbours (no key packs a whole row,
+    # which would overflow int64 for the larger fields)
+    srt = mat[np.lexsort(mat.T[::-1])]
+    distinct = len(mat) - int((srt[1:] == srt[:-1]).all(axis=1).sum())
+    del srt
+    expected = _expected_count(spec, ctx.size)
+    if distinct != expected:
         raise InvariantError(
-            f"enumerated {len(pts)} points, expected {expected} for {spec}"
+            f"enumerated {distinct} points, expected {expected} for {spec}"
         )
-    q = ctx.q
-    mat = np.array(pts, dtype=np.int64)
+    arr1, arr0 = np.divmod(mat, ctx.q)
+    nonvertex = np.arange(len(mat)) >= nvert
+    for arr in (arr0, arr1, nonvertex):
+        arr.flags.writeable = False
     return PointTable(
         spec=spec,
         ctx=ctx,
-        points=pts,
-        params=params,
-        arr0=mat % q,
-        arr1=mat // q,
-        nonvertex=(mat[:, vs:] != 0).any(axis=1),
-        index={pt: i for i, pt in enumerate(pts)},
+        arr0=arr0,
+        arr1=arr1,
+        nonvertex=nonvertex,
+        grid=(verts, xs, us, zs),
     )
 
 
@@ -156,24 +221,50 @@ def _line_points(ctx: FieldCtx) -> list:
 
 
 def _pair_data(spec: ScrollSpec, base_ctx: FieldCtx, table: PointTable, p):
-    """Vectorized A/B data of the line test for p against the whole table."""
+    """The line test for p against every table row: (secant mask, tangent mask).
+
+    With A_i = Q_i(p) and B_i the polar of Q_i at p applied to the row, the
+    row lies on a secant or tangent line through p when every
+    A_i0 B_i - A_i B_i0 vanishes (i0 the first i with A_i != 0), and p lies
+    on its tangent space when every B_i does.  Both conditions are linear in
+    the row, so each GF(q) component of the table meets one matrix of
+    covectors over GF(q), laid out with one column per row so that the
+    all-zero tests run along contiguous arrays.
+    """
     import numpy as np
 
     gens = quadric_generators(spec, base_ctx)
     a_vals = [g.evaluate(p) for g in gens]
     if not any(a_vals):
         raise PointOnVarietyError("p lies on the scroll")
-    w = np.array([g.polar(p) for g in gens], dtype=np.int64)
     q = base_ctx.q
-    b0 = table.arr0 @ w.T % q
-    b1 = table.arr1 @ w.T % q
-    i0 = next(i for i, a in enumerate(a_vals) if a)
-    a_arr = np.array(a_vals, dtype=np.int64)
-    prop0 = (a_arr[i0] * b0 - a_arr[None, :] * b0[:, i0:i0 + 1]) % q
-    prop1 = (a_arr[i0] * b1 - a_arr[None, :] * b1[:, i0:i0 + 1]) % q
-    secant_mask = (prop0 == 0).all(axis=1) & (prop1 == 0).all(axis=1)
-    tangent_mask = (b0 == 0).all(axis=1) & (b1 == 0).all(axis=1)
+    w = np.array([g.polar(p) for g in gens], dtype=np.int64)
+    a = np.array(a_vals, dtype=np.int64)
+    i0 = int(np.nonzero(a)[0][0])
+    covectors = np.vstack([(a[i0] * w - a[:, None] * w[i0]) % q, w])
+    secant_mask = np.ones(len(table), dtype=bool)
+    tangent_mask = np.ones(len(table), dtype=bool)
+    for arr in (table.arr0, table.arr1) if table.ctx.d == 2 else (table.arr0,):
+        vals = covectors @ arr.T % q
+        secant_mask &= ~vals[:len(gens)].any(axis=0)
+        tangent_mask &= ~vals[len(gens):].any(axis=0)
     return secant_mask, tangent_mask
+
+
+@lru_cache(maxsize=4)
+def _line_masks(spec: ScrollSpec, ctx: FieldCtx, p: tuple):
+    """`_pair_data` of p against the table of (spec, ctx), built once for the
+    brute-force functions that all ask about the same point (read-only)."""
+    masks = _pair_data(spec, base_of(ctx), _point_table(spec, ctx), p)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
+
+
+def _masks(spec: ScrollSpec, ctx: FieldCtx, p, budget: int):
+    """The table of (spec, ctx) within the budget, and the line masks of p."""
+    table = enumerate_points(spec, ctx, budget)
+    return table, _line_masks(spec, ctx, tuple(p))
 
 
 def brute_secant_locus(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7):
@@ -183,21 +274,20 @@ def brute_secant_locus(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7):
     of the scroll; it must equal the fast path's union of ruling cuts over the
     same field.
     """
-    import numpy as np
+    return {tuple(r) for r in _locus_array(spec, ctx, p, budget).tolist()}
 
-    base_ctx = base_of(ctx)
-    table = enumerate_points(spec, ctx, budget)
-    secant_mask, _ = _pair_data(spec, base_ctx, table, p)
-    return {table.points[i] for i in np.nonzero(secant_mask)[0]}
+
+def _locus_array(spec: ScrollSpec, ctx: FieldCtx, p, budget: int):
+    """`brute_secant_locus` as the packed rows of an array."""
+    table, (secant_mask, _) = _masks(spec, ctx, p, budget)
+    return table.packed(secant_mask)
 
 
 def brute_tangent_witnesses(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7):
     """Indices of non-vertex table points whose tangent space contains p."""
     import numpy as np
 
-    base_ctx = base_of(ctx)
-    table = enumerate_points(spec, ctx, budget)
-    _, tangent_mask = _pair_data(spec, base_ctx, table, p)
+    table, (_, tangent_mask) = _masks(spec, ctx, p, budget)
     return list(np.nonzero(tangent_mask & table.nonvertex)[0])
 
 
@@ -205,9 +295,7 @@ def brute_membership(
     spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7
 ) -> MembershipReport:
     """Set memberships by exhaustive enumeration of the defining joins."""
-    base_ctx = base_of(ctx)
-    table = enumerate_points(spec, ctx, budget)
-    secant_mask, tangent_mask = _pair_data(spec, base_ctx, table, p)
+    table, (secant_mask, tangent_mask) = _masks(spec, ctx, p, budget)
     nonvertex = table.nonvertex
     in_sec = bool((secant_mask & nonvertex).any())
     in_tan = bool((tangent_mask & nonvertex).any())
@@ -248,7 +336,7 @@ def brute_membership(
             if in_b:
                 break
     else:
-        in_b = bool(table.index.get(normalize_point(ctx, p)) is not None)
+        in_b = p in table
 
     # U: union over beta of the span of A with a conic plane
     two_blocks = [i for i, ai in enumerate(spec.a) if ai == 2]
@@ -298,30 +386,32 @@ def check_lift_equalities(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**
     cone: compared as the RREF of {p} + brute locus points versus the fast
     cone; (ii) the secant locus point set equals the join of the vertex with
     the base locus.  Returns a list of discrepancy strings (empty = pass).
+    The locus can have thousands of points, so the RREF is taken of the
+    pivot rows that span it, and the join is built as one array.
     """
+    import numpy as np
+
     problems = []
-    base_ctx = base_of(ctx)
-    _, sec, _, _ = classify_with_data(spec, base_ctx, p)
-    locus = brute_secant_locus(spec, ctx, p, budget)
-    vecs = [normalize_point(ctx, p)] + sorted(locus)
-    _, brute_rows, _ = row_reduce(ctx, vecs, spec.ambient + 1)
+    _, sec, _, _ = classify_with_data(spec, base_of(ctx), p)
+    nv = spec.ambient + 1
+    locus = _locus_array(spec, ctx, p, budget)
+    vecs = np.vstack([np.array(normalize_point(ctx, p), dtype=np.int64), locus])
+    basis = vecs[pivot_rows(ctx, vecs[None])[0]]
+    _, brute_rows = rref(ctx, basis.tolist(), nv)
     if tuple(brute_rows) != tuple(sec.rows):
         problems.append("secant cone differs from vertex-lift of the base cone")
 
     if spec.h >= 0:
         spec0 = spec.base()
-        pbar = reduced_point(spec, p)
-        base_locus = brute_secant_locus(spec0, ctx, pbar, budget)
-        joined = set()
+        base_locus = _locus_array(spec0, ctx, reduced_point(spec, p), budget)
         vs = spec.vertex_size
-        for z in product(range(ctx.size), repeat=vs):
-            for w in base_locus:
-                vec = tuple(z) + tuple(w)
-                if any(vec):
-                    joined.add(normalize_point(ctx, vec))
-        for zrep in projective_points(ctx, vs):
-            joined.add(normalize_point(ctx, tuple(zrep) + tuple([0] * (spec0.ambient + 1))))
-        if joined != locus:
+        zs = np.array(list(product(range(ctx.size), repeat=vs)), dtype=np.int64)
+        joined = np.zeros((len(zs), len(base_locus), nv), dtype=np.int64)
+        joined[..., :vs] = zs[:, None, :]
+        joined[..., vs:] = base_locus
+        pts = {tuple(r) for r in normalize_rows(ctx, joined.reshape(-1, nv)).tolist()}
+        pts.update(z + (0,) * (nv - vs) for z in projective_points(ctx, vs))
+        if pts != {tuple(r) for r in locus.tolist()}:
             problems.append("secant locus differs from the vertex join of the base locus")
     return problems
 
@@ -385,7 +475,7 @@ def tangency_crosscheck(spec, ctx, p, indices, table: PointTable):
     base_ctx = base_of(ctx)
     _, tangent_mask = _pair_data(spec, base_ctx, table, p)
     for i in indices:
-        param = table.params[i]
+        param = table.param(i)
         if param.is_vertex():
             continue
         space = tangent_space(spec, ctx, param)

@@ -78,16 +78,20 @@ from .exactfield import (
     FieldCtx,
     LinearSubspace,
     QForm,
+    array_add,
+    array_mul,
     base_of,
     normalize_point,
+    pivot_rows,
     polarize,
     projective_points,
     qform_normalized_gram,
     qform_rank,
     row_reduce,
+    rref,
     unit_rows,
 )
-from .scroll import ScrollSpec, contains, quadric_generators, _monomials
+from .scroll import ScrollSpec, contains, quadric_generators, _monomial_array, _monomials
 
 __all__ = [
     "NOT_ON_X",
@@ -315,7 +319,7 @@ def fiber_secant_space(spec: ScrollSpec, ctx: FieldCtx, p, x) -> LinearSubspace:
     rows = _lift_rows(spec, vecs)
     if not rows:
         return LinearSubspace(ctx, spec.ambient, ())
-    _, ech, _ = row_reduce(ctx, rows, spec.ambient + 1)
+    _, ech = rref(ctx, rows, spec.ambient + 1)
     return LinearSubspace(ctx, spec.ambient, tuple(ech))
 
 
@@ -352,7 +356,7 @@ def _analysis(spec: ScrollSpec, ctx: FieldCtx, p: tuple):
     nv0 = spec0.ambient + 1
     _, _, kernel = row_reduce(ctx, [g.polar(pbar) for g in gens0], nv0)
     polar_kernel = LinearSubspace(ctx, spec0.ambient, tuple(kernel))
-    _, ech, _ = row_reduce(ctx, [pbar] + kernel, nv0)
+    _, ech = rref(ctx, [pbar] + kernel, nv0)
     sec0 = LinearSubspace(ctx, spec0.ambient, tuple(ech))
 
     # the hyperquadric: all nonzero generator restrictions agree up to scale
@@ -430,8 +434,15 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     """All rational points of the secant locus over the field of ctx_d.
 
     Exhaustive over the rulings of that field: still the fiber-linear fast
-    path, used for set-level comparison against the brute-force oracle.
+    path, used for set-level comparison against the brute-force oracle.  The
+    covectors lie over GF(q), so the fiber matrices of all rulings come from
+    two integer matrix products, one per GF(q^2) component
+    (`_ruling_monomials`), and one batched rank test finds the rulings with a
+    nonzero cut.  Only those go through `_fiber_kernel_vectors`, and the
+    points of each cut are enumerated as an array.
     """
+    import numpy as np
+
     spec0 = spec.base()
     pbar = reduced_point(spec, p)
     base_ctx = base_of(ctx_d)
@@ -442,20 +453,53 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     est = (size + 1) * max(1, size ** (spec.dim - 1))
     if est > budget:
         raise BudgetExceededError(f"enumeration of size ~{est} exceeds budget {budget}")
-    pts = set(_subspace_points(ctx_d, _lift_rows(spec, ())))
-    for x in projective_points(ctx_d, 2):
-        vecs = _fiber_kernel_vectors(spec0, ctx_d, covectors, x)
-        if vecs:
-            _, ech, _ = row_reduce(ctx_d, _lift_rows(spec, vecs), spec.ambient + 1)
-            pts.update(_subspace_points(ctx_d, ech))
+    rulings, mon0, mon1 = _ruling_monomials(spec0, ctx_d)
+    w = np.array(covectors, dtype=np.int64).reshape(-1, spec0.ambient + 1)
+    q = ctx_d.q
+    fibers = (w @ mon0) % q + q * ((w @ mon1) % q)
+    spans = [_lift_rows(spec, ())] if spec.vertex_size else []
+    for i in np.nonzero(pivot_rows(ctx_d, fibers).sum(axis=1) < spec0.n)[0]:
+        vecs = _fiber_kernel_vectors(spec0, ctx_d, covectors, rulings[i])
+        spans.append(rref(ctx_d, _lift_rows(spec, vecs), spec.ambient + 1)[1])
+    pts = set()
+    for rows in spans:
+        pts.update(tuple(r) for r in _span_point_array(ctx_d, rows).tolist())
     return pts
 
 
-def _subspace_points(ctx: FieldCtx, rows):
-    """All rational points of the projective subspace spanned by rows."""
-    for coeffs in projective_points(ctx, len(rows)):
-        v = [0] * len(rows[0])
-        for c, row in zip(coeffs, rows):
-            if c:
-                v = [ctx.add(x, ctx.mul(c, y)) if y else x for x, y in zip(v, row)]
-        yield normalize_point(ctx, v)
+@lru_cache(maxsize=8)
+def _ruling_monomials(spec0: ScrollSpec, ctx_x: FieldCtx):
+    """Every ruling x over the field of ctx_x, and the two GF(q) components of
+    the stack of block matrices M(x), one column of monomials per block.
+
+    The fiber matrix of x (`_eval_fiber_matrix`) is W.M(x) for covectors W
+    over GF(q), so the fiber matrices of all rulings are two integer matrix
+    products with these stacks.
+    """
+    import numpy as np
+
+    rulings = list(projective_points(ctx_x, 2))
+    x = np.array(rulings, dtype=np.int64)
+    mons = np.zeros((len(x), spec0.ambient + 1, spec0.n), dtype=np.int64)
+    for i, (start, ai) in enumerate(zip(spec0.block_starts, spec0.a)):
+        mons[:, start:start + ai + 1, i] = _monomial_array(ctx_x, x, ai)
+    mon1, mon0 = np.divmod(mons, ctx_x.q)
+    mon0.flags.writeable = mon1.flags.writeable = False
+    return rulings, mon0, mon1
+
+
+def _span_point_array(ctx: FieldCtx, rows):
+    """Every point of the projective span of RREF rows, as the rows of an array.
+
+    The combinations with normalized coefficient vectors: the first nonzero
+    coefficient is 1 and falls on the first row used, whose pivot entry is 1
+    and lies left of every later row's nonzero entries, so each point comes
+    out normalized and once.
+    """
+    import numpy as np
+
+    coeffs = np.array(list(projective_points(ctx, len(rows))), dtype=np.int64)
+    out = np.zeros((len(coeffs), len(rows[0])), dtype=np.int64)
+    for k, row in enumerate(rows):
+        out = array_add(ctx, out, array_mul(ctx, coeffs[:, k, None], np.array(row, dtype=np.int64)))
+    return out

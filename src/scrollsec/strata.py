@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from .exactfield import FieldCtx
 from .scroll import ScrollSpec, contains
 from .secant import (
-    classify_signature,
+    _analysis,
     classify_with_data,
     reduced_point,
     validate_point,
@@ -161,7 +161,10 @@ def _geometric_ratio(ctx: FieldCtx, block):
 def member_tangent(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
     """p lies in the join of the vertex with the tangent variety of the base:
     the polar kernel K of p meets the base scroll over the algebraic closure."""
-    kernel = classify_with_data(spec, ctx, p)[3]
+    return _kernel_meets_scroll(spec, ctx, classify_with_data(spec, ctx, p)[3])
+
+
+def _kernel_meets_scroll(spec: ScrollSpec, ctx: FieldCtx, kernel) -> bool:
     return kernel.pdim >= 1 or (kernel.pdim == 0 and contains(spec.base(), ctx, kernel.rows[0]))
 
 
@@ -175,14 +178,16 @@ def stratum_geometric(spec: ScrollSpec, ctx: FieldCtx, p) -> MembershipReport:
     """Stratum of p from the set memberships alone, plus the agreement flag.
 
     Decision order: quadric surface (A), two lines (B), conic (U), double
-    point (tangent side), two points (secant side), empty.
+    point (tangent side), two points (secant side), empty.  p is validated
+    once; Tan, Sec and the signature are read from its one cached analysis.
     """
     p = validate_point(spec, ctx, p)
+    sig, _, _, kernel = _analysis(spec, ctx, p)
     in_a = member_A(spec, ctx, p)
     in_b = member_B(spec, ctx, p)
     in_u = member_U(spec, ctx, p)
-    in_tan = member_tangent(spec, ctx, p)
-    in_sec = member_secant_variety(spec, ctx, p)
+    in_tan = _kernel_meets_scroll(spec, ctx, kernel)
+    in_sec = not kernel.is_empty()
     if in_a:
         label = "QuadricSurface"
     elif in_b:
@@ -195,7 +200,6 @@ def stratum_geometric(spec: ScrollSpec, ctx: FieldCtx, p) -> MembershipReport:
         label = "TwoPoints"
     else:
         label = "Empty2Z"
-    sig = classify_signature(spec, ctx, p)
     return MembershipReport(
         in_A=in_a,
         in_B=in_b,

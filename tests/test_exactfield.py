@@ -155,6 +155,61 @@ def test_rank_plus_kernel_dim_over_both_fields():
                     assert acc == 0
 
 
+def test_rref_is_row_reduce_without_the_kernel():
+    rng = random.Random(43)
+    for ctx in (field_make(7, 1), field_make(5, 2)):
+        for _ in range(40):
+            cols = rng.randrange(1, 6)
+            mat = [[ctx.rand(rng) for _ in range(cols)] for _ in range(rng.randrange(1, 5))]
+            rank, ech, _ = row_reduce(ctx, mat, cols)
+            assert exactfield.rref(ctx, mat, cols) == (rank, ech)
+
+
+def test_array_arithmetic_matches_the_scalar_field():
+    import numpy as np
+
+    for ctx in (field_make(5, 1), field_make(3, 2)):
+        a, b = np.meshgrid(np.arange(ctx.size), np.arange(ctx.size), indexing="ij")
+        for array_op, op in ((exactfield.array_add, ctx.add), (exactfield.array_sub, ctx.sub),
+                             (exactfield.array_mul, ctx.mul)):
+            got = array_op(ctx, a, b)
+            assert all(got[x, y] == op(x, y) for x in range(ctx.size) for y in range(ctx.size))
+        inv = exactfield.inverse_array(ctx)
+        assert inv[0] == 0 and all(ctx.mul(x, int(inv[x])) == 1 for x in range(1, ctx.size))
+
+
+def test_normalize_rows_and_pivot_rows_match_the_scalar_versions():
+    import numpy as np
+
+    rng = random.Random(44)
+    for ctx in (field_make(7, 1), field_make(5, 2)):
+        for _ in range(60):
+            cols = rng.randrange(1, 6)
+            # low-rank matrices too: rows drawn from a few random rows
+            basis = [[ctx.rand(rng) for _ in range(cols)] for _ in range(rng.randrange(1, 4))]
+            mat = []
+            for _ in range(rng.randrange(1, 7)):
+                row = [0] * cols
+                for b in basis:
+                    c = ctx.rand(rng)
+                    row = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(row, b)]
+                mat.append(row)
+            arr = np.array(mat, dtype=np.int64)
+            normalized = exactfield.normalize_rows(ctx, arr).tolist()
+            for row, got in zip(mat, normalized):
+                assert tuple(got) == (normalize_point(ctx, row) if any(row) else tuple(row))
+            picked = exactfield.pivot_rows(ctx, arr[None])[0]
+            rank, ech, _ = row_reduce(ctx, mat, cols)
+            assert picked.sum() == rank
+            assert exactfield.rref(ctx, arr[picked].tolist(), cols)[1] == ech
+        # the batched form gives every matrix of a stack its own rank
+        stack = [[[ctx.rand(rng) if rng.random() < 0.4 else 0 for _ in range(3)]
+                  for _ in range(4)] for _ in range(200)]
+        ranks = exactfield.pivot_rows(ctx, np.array(stack, dtype=np.int64)).sum(axis=1)
+        assert ranks.tolist() == [row_reduce(ctx, m, 3)[0] for m in stack]
+        assert len(set(ranks.tolist())) >= 3
+
+
 # ---------------------------------------------------------------------------
 # spans and membership
 # ---------------------------------------------------------------------------

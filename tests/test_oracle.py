@@ -1,15 +1,21 @@
 import random
+from itertools import product
 
 import pytest
 
 from conftest import external_point
 from scrollsec import (
     BudgetExceededError,
+    InvariantError,
+    ScrollPoint,
     brute_membership,
     brute_secant_locus,
     check_lift_equalities,
+    embed,
     enumerate_points,
     field_make,
+    normalize_point,
+    projective_points,
     scroll_new,
     secant_locus_points,
     stratum_geometric,
@@ -27,6 +33,85 @@ def test_point_count_extension_field():
     f25 = field_make(5, 2)
     assert len(enumerate_points(scroll_new([3]), f25)) == 26
     assert len(enumerate_points(scroll_new([1, 2]), f25)) == 26 * 26
+
+
+def _reference_table(spec, ctx):
+    """The point table built one scalar embedding at a time: vertex points
+    first, then x = (0:1), (1:0), (1:1), ..., u over P^(n-1) and the affine
+    vertex part z, keeping the first copy of each normalized point."""
+    *finite, infinity = projective_points(ctx, 2)
+    vs = spec.vertex_size
+    params = [ScrollPoint((0, 0), (0,) * spec.n, z) for z in projective_points(ctx, vs)]
+    params += [
+        ScrollPoint(x, u, z)
+        for x in [infinity] + finite
+        for u in projective_points(ctx, spec.n)
+        for z in product(range(ctx.size), repeat=vs)
+    ]
+    points = {}
+    for param in params:
+        points.setdefault(normalize_point(ctx, embed(spec, ctx, param)), param)
+    return list(points)
+
+
+# S(1,1,2)+cone(1) over GF(25) has 10.5 million points and is left out
+@pytest.mark.parametrize(
+    "a,h,fields",
+    [
+        ((3,), -1, ((3, 1), (3, 2), (5, 1), (5, 2))),
+        ((1, 2), 0, ((3, 1), (3, 2), (5, 1), (5, 2))),
+        ((2, 2), 0, ((3, 1), (3, 2), (5, 1), (5, 2))),
+        ((1, 1, 2), 1, ((3, 1), (3, 2), (5, 1))),
+    ],
+)
+def test_point_table_matches_scalar_reference(a, h, fields):
+    spec = scroll_new(a, h)
+    for q, d in fields:
+        ctx = field_make(q, d)
+        table = enumerate_points(spec, ctx)
+        reference = _reference_table(spec, ctx)
+        assert table.points == reference, (spec, q, d)
+        assert len(table) == len(reference)
+        # every row of the smaller tables, a stride through the larger ones
+        for i in range(0, len(reference), 1 + len(reference) // 5000):
+            point, param = reference[i], table.param(i)
+            assert normalize_point(ctx, embed(spec, ctx, param)) == point
+            assert table.nonvertex[i] == (not param.is_vertex())
+            assert table.packed(i).tolist() == list(point)
+        with pytest.raises(IndexError):
+            table.param(len(table))
+
+
+def test_point_table_over_the_largest_oracle_field():
+    """S(3) over GF(101^2): the largest field the oracle commands accept."""
+    spec = scroll_new([3])
+    ctx = field_make(101, 2)
+    table = enumerate_points(spec, ctx)
+    assert len(table) == 10202
+    assert len(set(table.points)) == 10202
+    rng = random.Random(3)
+    for i in [0, 1, 10201] + [rng.randrange(10202) for _ in range(50)]:
+        assert normalize_point(ctx, embed(spec, ctx, table.param(i))) == table.points[i]
+    assert (1, 0, 0, 0) in table and (1, 0, 0, 1) not in table
+
+
+def test_point_table_count_mismatch_raises(monkeypatch, f5):
+    from scrollsec import oracle
+
+    spec = scroll_new([1, 2], 0)
+    real_count, real_line = oracle._expected_count, oracle._line_points
+    enumerate_points.cache_clear()
+    monkeypatch.setattr(oracle, "_expected_count", lambda sp, size: real_count(sp, size) + 1)
+    with pytest.raises(InvariantError):
+        enumerate_points(spec, f5)
+    monkeypatch.setattr(oracle, "_expected_count", real_count)
+    # (0:1) replaced by a second (1:0): every point of that ruling repeats
+    monkeypatch.setattr(oracle, "_line_points", lambda ctx: [(1, 0)] + real_line(ctx)[1:])
+    with pytest.raises(InvariantError):
+        enumerate_points(spec, f5)
+    monkeypatch.setattr(oracle, "_line_points", real_line)
+    assert len(enumerate_points(spec, f5)) == 181
+    enumerate_points.cache_clear()
 
 
 def test_budget_guard(f5):
@@ -145,7 +230,7 @@ def test_tangency_matches_jacobian(f5):
             assert tangency_crosscheck(spec, f5, p, idx, table)
             # and the flagged witnesses really are tangency points
             for i in brute_tangent_witnesses(spec, f5, p):
-                param = table.params[i]
+                param = table.param(i)
                 from scrollsec import subspace_contains, tangent_space
 
                 assert subspace_contains(tangent_space(spec, f5, param), p)

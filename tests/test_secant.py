@@ -336,9 +336,48 @@ def test_classify_with_data_consistency(f7):
             assert subspace_contains(sec, row)
 
 
+def _subspace_point_set(space):
+    """Every point of a projective subspace, enumerated with scalar arithmetic."""
+    ctx, rows = space.ctx, space.rows
+    out = set()
+    for coeffs in projective_points(ctx, len(rows)):
+        v = [0] * (space.ambient + 1)
+        for c, row in zip(coeffs, rows):
+            v = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(v, row)]
+        out.add(normalize_point(ctx, v))
+    return out
+
+
+def test_secant_locus_points_is_the_union_of_ruling_cuts():
+    """The batched ruling scan of `secant_locus_points` finds exactly the
+    points of the per-ruling cuts `fiber_secant_space`: every exterior point
+    of S(3) over GF(5) and GF(25), and seeded points of S(1,2)+cone(0) and
+    S(2,2) over GF(3^2)."""
+    cases = []
+    s3, f5 = scroll_new([3]), field_make(5, 1)
+    exterior = [p for p in projective_points(f5, 4) if not contains(s3, f5, p)]
+    assert len(exterior) == 150
+    cases += [(s3, 5, d, p) for d in (1, 2) for p in exterior]
+    f3 = field_make(3, 1)
+    for a, h in (([1, 2], 0), ([2, 2], -1)):
+        spec = scroll_new(a, h)
+        rng = random.Random(17)
+        cases += [(spec, 3, 2, external_point(spec, f3, rng)) for _ in range(20)]
+    nonempty = 0
+    for spec, q, d, p in cases:
+        ctx_d = field_make(q, d)
+        union = set()
+        for x in projective_points(ctx_d, 2):
+            union |= _subspace_point_set(fiber_secant_space(spec, ctx_d, p, x))
+        assert secant_locus_points(spec, ctx_d, p) == union, (spec, d, p)
+        nonempty += bool(union)
+    assert nonempty > len(cases) // 2
+
+
 def test_one_polar_solve_per_point(monkeypatch, f7):
     """Classification, strata and projection share one polar-kernel solve
-    (two row reductions) and scan no ruling."""
+    (one row reduction with its kernel, one echelon-only reduction for the
+    cone) and scan no ruling."""
     from scrollsec import project, secant
 
     spec = scroll_new([1, 2], 0)
@@ -355,13 +394,14 @@ def test_one_polar_solve_per_point(monkeypatch, f7):
         monkeypatch.setattr(secant, name, wrapper)
 
     counted("row_reduce")
+    counted("rref")
     counted("_secant_covectors")
     counted("_fiber_kernel_vectors")
     secant._analysis.cache_clear()
     classify_with_data(spec, f7, p)
     stratum_geometric(spec, f7, p)
     project(spec, f7, p)
-    assert calls == ["row_reduce", "row_reduce"]
+    assert calls == ["row_reduce", "rref"]
     assert secant._analysis.cache_info().misses == 1
 
 

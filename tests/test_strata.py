@@ -7,6 +7,7 @@ from conftest import external_point
 from scrollsec import (
     PointOnVarietyError,
     classify_signature,
+    classify_with_data,
     contains,
     embed,
     field_make,
@@ -314,3 +315,26 @@ def test_s111_exterior_is_all_quadric_surface():
     counts = _census(scroll_new([1, 1, 1]), f3)
     # the points of P^5 minus those of the Segre threefold P^1 x P^2
     assert counts == {"QuadricSurface": (3**6 - 1) // 2 - 4 * 13}
+
+
+def test_stratum_validates_the_point_once(monkeypatch, f7):
+    """stratum_geometric checks p against the scroll once and reads Tan, Sec
+    and the signature from the cached analysis without validating again."""
+    from scrollsec import secant, strata
+
+    calls = []
+    for module in (secant, strata):
+        real = module.contains
+
+        def counted(*args, real=real):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(module, "contains", counted)
+    spec = scroll_new([1, 2])
+    p = (0, 0, 1, 0, 6)
+    classify_with_data(spec, f7, p)
+    calls.clear()
+    rep = stratum_geometric(spec, f7, p)
+    assert rep.label_geom == "Conic" and rep.agrees_with_signature
+    assert calls == [spec]
