@@ -94,8 +94,7 @@ def depth_predict(spec: ScrollSpec, sig: SecantSignature, in_sec: bool) -> Depth
         depth = 1
     else:
         depth = sig.depth_pred
-    j = sig.locus_dim - spec.h
-    acm = j == spec.n
+    acm = is_del_pezzo(spec, sig)
     case = "none"
     if acm:
         tagged = atlas_case_for(spec.a)
@@ -103,7 +102,7 @@ def depth_predict(spec: ScrollSpec, sig: SecantSignature, in_sec: bool) -> Depth
     return DepthReport(
         depth=depth,
         acm=acm,
-        j=j,
+        j=sig.locus_dim - spec.h,
         del_pezzo_case=case,
         linearly_normal=not (smooth and not in_sec),
     )

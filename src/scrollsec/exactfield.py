@@ -7,6 +7,11 @@ a0 + q*a1.  Elements of the prime field are their own packing, so a GF(q) value
 is simultaneously a valid GF(q^2) value and vectors never need re-encoding when
 the computation moves into the extension.
 
+The arithmetic of `FieldCtx` is written once for both kinds of operand:
+`add`, `sub`, `neg`, `mul` and `conj` also take int64 numpy arrays of packed
+elements (any shapes that broadcast) and return arrays.  `inv` takes scalars
+only; `inverse_array` is its lookup table for arrays.
+
 Matrices are lists (or tuples) of equal-length coordinate tuples.  Projective
 linear subspaces are kept in reduced row-echelon form, which makes subspace
 equality literal tuple equality.  Everything here is immutable after
@@ -53,9 +58,6 @@ __all__ = [
     "polarize",
     "qform_restrict",
     "qform_rank",
-    "array_add",
-    "array_sub",
-    "array_mul",
     "inverse_array",
     "normalize_rows",
     "pivot_rows",
@@ -84,6 +86,9 @@ class FieldCtx:
     d: extension degree.
     c: for d = 2, the least quadratic non-residue mod q (the extension is
        GF(q)[w]/(w^2 - c)); 0 for d = 1.
+
+    add, sub, neg, mul and conj accept packed ints or int64 arrays of packed
+    elements; inv accepts ints only (use `inverse_array` for arrays).
     """
 
     q: int
@@ -551,57 +556,15 @@ def qform_rank(form: QForm) -> int:
     return rref(form.ctx, form.gram, form.n_vars)[0]
 
 
-def qform_normalized_gram(form: QForm):
-    """Gram matrix scaled so its first nonzero entry is 1 (for proportionality tests)."""
-    ctx = form.ctx
-    flat = [x for row in form.gram for x in row]
-    for x in flat:
-        if x:
-            s = ctx.inv(x)
-            return tuple(
-                tuple(ctx.mul(s, y) if y else 0 for y in row) for row in form.gram
-            )
-    return form.gram
-
-
 # ---------------------------------------------------------------------------
 # packed arithmetic on integer arrays
 # ---------------------------------------------------------------------------
 #
 # The brute-force oracle and the secant-locus enumeration work on whole tables
-# of packed elements at once.  These helpers take int64 numpy arrays (any
-# shapes that broadcast) and return new ones; numpy is imported only where a
-# function builds an array itself, so the classification path never loads it.
-
-
-def array_add(ctx: FieldCtx, a, b):
-    """Elementwise a + b of packed arrays."""
-    q = ctx.q
-    if ctx.d == 1:
-        return (a + b) % q
-    a1, a0 = divmod(a, q)
-    b1, b0 = divmod(b, q)
-    return (a0 + b0) % q + q * ((a1 + b1) % q)
-
-
-def array_sub(ctx: FieldCtx, a, b):
-    """Elementwise a - b of packed arrays."""
-    q = ctx.q
-    if ctx.d == 1:
-        return (a - b) % q
-    a1, a0 = divmod(a, q)
-    b1, b0 = divmod(b, q)
-    return (a0 - b0) % q + q * ((a1 - b1) % q)
-
-
-def array_mul(ctx: FieldCtx, a, b):
-    """Elementwise a * b of packed arrays."""
-    q = ctx.q
-    if ctx.d == 1:
-        return a * b % q
-    a1, a0 = divmod(a, q)
-    b1, b0 = divmod(b, q)
-    return (a0 * b0 + ctx.c * a1 * b1) % q + q * ((a0 * b1 + a1 * b0) % q)
+# of packed elements at once, with the `FieldCtx` operations applied to int64
+# numpy arrays.  The helpers below add what those lack: inverses and batched
+# elimination.  numpy is imported only where a function builds an array itself,
+# so the classification path never loads it.
 
 
 @lru_cache(maxsize=8)
@@ -620,7 +583,7 @@ def normalize_rows(ctx: FieldCtx, mat):
     import numpy as np
 
     lead = mat[np.arange(len(mat)), (mat != 0).argmax(axis=1)]
-    return array_mul(ctx, mat, inverse_array(ctx)[lead][:, None])
+    return ctx.mul(mat, inverse_array(ctx)[lead][:, None])
 
 
 def pivot_rows(ctx: FieldCtx, mats):
@@ -647,6 +610,6 @@ def pivot_rows(ctx: FieldCtx, mats):
         picked[batch, rows] = True
         sub = work[batch]
         piv = sub[np.arange(len(batch)), rows]
-        piv = array_mul(ctx, piv, inv[piv[:, col]][:, None])
-        work[batch] = array_sub(ctx, sub, array_mul(ctx, sub[:, :, col, None], piv[:, None, :]))
+        piv = ctx.mul(piv, inv[piv[:, col]][:, None])
+        work[batch] = ctx.sub(sub, ctx.mul(sub[:, :, col, None], piv[:, None, :]))
     return picked

@@ -9,9 +9,9 @@ shortcut used everywhere else is itself under test.
 
 Brute force here means exhaustive, not scalar.  Work that touches every point
 runs on numpy arrays of packed coordinates, with GF(q^2) elements either
-packed (`exactfield.array_mul` and friends) or split into their two GF(q)
-components, which turns the line tests into plain integer matrix products
-mod q:
+packed (`FieldCtx.mul` and its siblings take arrays) or split into their two
+GF(q) components, which turns the line tests into plain integer matrix
+products mod q:
 
 * `enumerate_points` embeds the whole parameter grid at once, normalizes the
   rows with a table of inverses, and checks them against the closed-form
@@ -40,7 +40,6 @@ from .errors import (
 )
 from .exactfield import (
     FieldCtx,
-    array_mul,
     base_of,
     normalize_point,
     normalize_rows,
@@ -53,7 +52,7 @@ from .exactfield import (
 from .scroll import (
     ScrollPoint,
     ScrollSpec,
-    _monomial_array,
+    _monomials,
     _ruling_rows,
     embed,
     quadric_generators,
@@ -180,7 +179,8 @@ def _point_table(spec: ScrollSpec, ctx: FieldCtx) -> PointTable:
     x_arr = np.array(xs, dtype=np.int64)
     u_arr = np.array(us, dtype=np.int64)
     for i, (start, ai) in enumerate(zip(spec.block_starts, spec.a)):
-        cols = array_mul(ctx, u_arr[None, :, i, None], _monomial_array(ctx, x_arr, ai)[:, None, :])
+        mons = np.stack(_monomials(ctx, *x_arr.T, ai), axis=1)
+        cols = ctx.mul(u_arr[None, :, i, None], mons[:, None, :])
         body[..., start:start + ai + 1] = cols[:, :, None, :]
     for s in range(0, len(mat), _NORMALIZE_ROWS):
         mat[s:s + _NORMALIZE_ROWS] = normalize_rows(ctx, mat[s:s + _NORMALIZE_ROWS])

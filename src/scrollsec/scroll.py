@@ -29,7 +29,7 @@ from .errors import (
     VertexPointError,
     ZeroVectorError,
 )
-from .exactfield import Binomial, FieldCtx, LinearSubspace, array_mul, span_points, unit_rows
+from .exactfield import Binomial, FieldCtx, LinearSubspace, span_points, unit_rows
 
 __all__ = [
     "ScrollSpec",
@@ -188,27 +188,13 @@ def embed(spec: ScrollSpec, ctx: FieldCtx, pt: ScrollPoint) -> tuple:
 
 
 def _monomials(ctx: FieldCtx, s: int, t: int, a: int):
-    """(s^a, s^(a-1) t, ..., t^a)."""
+    """(s^a, s^(a-1) t, ..., t^a); for a >= 1, s and t may be packed arrays."""
     spow = [1]
     tpow = [1]
     for _ in range(a):
         spow.append(ctx.mul(spow[-1], s))
         tpow.append(ctx.mul(tpow[-1], t))
     return [ctx.mul(spow[a - j], tpow[j]) for j in range(a + 1)]
-
-
-def _monomial_array(ctx: FieldCtx, x, a: int):
-    """`_monomials` of every row (s, t) of the packed int64 array x, as the
-    rows of an array of shape (len(x), a + 1)."""
-    import numpy as np
-
-    s, t = x[:, 0], x[:, 1]
-    spow = [np.ones_like(s)]
-    tpow = [np.ones_like(t)]
-    for _ in range(a):
-        spow.append(array_mul(ctx, spow[-1], s))
-        tpow.append(array_mul(ctx, tpow[-1], t))
-    return np.stack([array_mul(ctx, spow[a - j], tpow[j]) for j in range(a + 1)], axis=1)
 
 
 @lru_cache(maxsize=64)

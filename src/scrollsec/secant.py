@@ -78,20 +78,26 @@ from .exactfield import (
     FieldCtx,
     LinearSubspace,
     QForm,
-    array_add,
-    array_mul,
+    _dot,
     base_of,
     normalize_point,
     pivot_rows,
     polarize,
     projective_points,
-    qform_normalized_gram,
     qform_rank,
     row_reduce,
     rref,
     unit_rows,
 )
-from .scroll import ScrollSpec, contains, quadric_generators, _monomial_array, _monomials
+from .scroll import (
+    ScrollPoint,
+    ScrollSpec,
+    _monomials,
+    _ruling_rows,
+    contains,
+    embed,
+    quadric_generators,
+)
 
 __all__ = [
     "NOT_ON_X",
@@ -247,46 +253,11 @@ def _secant_covectors(spec0: ScrollSpec, ctx: FieldCtx, pbar):
     return rows
 
 
-def _eval_fiber_matrix(spec0: ScrollSpec, ctx_x: FieldCtx, covectors, x):
-    """Numeric fiber matrix at x = (s, t) over the field of x."""
-    s, t = x
-    cols = []
-    for i, ai in enumerate(spec0.a):
-        start = spec0.block_starts[i]
-        mon = _monomials(ctx_x, s, t, ai)
-        cols.append((start, mon, ai))
-    mat = []
-    for w in covectors:
-        row = []
-        for start, mon, ai in cols:
-            acc = 0
-            for l in range(ai + 1):
-                wl = w[start + l]
-                if wl and mon[l]:
-                    acc = ctx_x.add(acc, ctx_x.mul(wl, mon[l]))
-            row.append(acc)
-        mat.append(row)
-    return mat
-
-
-def _fiber_kernel_vectors(spec0: ScrollSpec, ctx_x: FieldCtx, covectors, x):
-    """Ambient vectors spanning the ruling cut at x (may be empty)."""
-    mat = _eval_fiber_matrix(spec0, ctx_x, covectors, x)
-    _, _, kernel = row_reduce(ctx_x, mat, spec0.n)
-    s, t = x
-    out = []
-    nv = spec0.ambient + 1
-    for u in kernel:
-        vec = [0] * nv
-        for i, ai in enumerate(spec0.a):
-            if not u[i]:
-                continue
-            start = spec0.block_starts[i]
-            mon = _monomials(ctx_x, s, t, ai)
-            for l in range(ai + 1):
-                vec[start + l] = ctx_x.mul(u[i], mon[l])
-        out.append(tuple(vec))
-    return out
+def _fiber_kernel_vectors(spec0: ScrollSpec, ctx_x: FieldCtx, fiber, x):
+    """Ambient vectors spanning the ruling cut at x (may be empty), from the
+    fiber matrix at x: the secant covectors applied to the block vectors."""
+    _, _, kernel = row_reduce(ctx_x, fiber, spec0.n)
+    return [embed(spec0, ctx_x, ScrollPoint(x, u, ())) for u in kernel]
 
 
 def _lift_rows(spec: ScrollSpec, base_rows):
@@ -315,7 +286,9 @@ def fiber_secant_space(spec: ScrollSpec, ctx: FieldCtx, p, x) -> LinearSubspace:
     spec0 = spec.base()
     pbar = reduced_point(spec, p)
     covectors = _secant_covectors(spec0, ctx, pbar)
-    vecs = _fiber_kernel_vectors(spec0, ctx, covectors, x)
+    blocks = _ruling_rows(spec0, ctx, x)
+    fiber = [[_dot(ctx, w, v) for v in blocks] for w in covectors]
+    vecs = _fiber_kernel_vectors(spec0, ctx, fiber, x)
     rows = _lift_rows(spec, vecs)
     if not rows:
         return LinearSubspace(ctx, spec.ambient, ())
@@ -364,9 +337,10 @@ def _analysis(spec: ScrollSpec, ctx: FieldCtx, p: tuple):
     norm_ref = None
     for g in gens0:
         rg = g.restrict(sec0)
-        if all(not x for row in rg.gram for x in row):
+        flat = [x for row in rg.gram for x in row]
+        if not any(flat):
             continue
-        norm = qform_normalized_gram(rg)
+        norm = normalize_point(ctx, flat)
         if norm_ref is None:
             quadric0, norm_ref = rg, norm
         elif norm != norm_ref:
@@ -438,8 +412,9 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     covectors lie over GF(q), so the fiber matrices of all rulings come from
     two integer matrix products, one per GF(q^2) component
     (`_ruling_monomials`), and one batched rank test finds the rulings with a
-    nonzero cut.  Only those go through `_fiber_kernel_vectors`, and the
-    points of each cut are enumerated as an array.
+    nonzero cut.  Only those go through `_fiber_kernel_vectors`, with their
+    matrices from the batch, and the points of each cut are enumerated as an
+    array.
     """
     import numpy as np
 
@@ -459,7 +434,7 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     fibers = (w @ mon0) % q + q * ((w @ mon1) % q)
     spans = [_lift_rows(spec, ())] if spec.vertex_size else []
     for i in np.nonzero(pivot_rows(ctx_d, fibers).sum(axis=1) < spec0.n)[0]:
-        vecs = _fiber_kernel_vectors(spec0, ctx_d, covectors, rulings[i])
+        vecs = _fiber_kernel_vectors(spec0, ctx_d, fibers[i].tolist(), rulings[i])
         spans.append(rref(ctx_d, _lift_rows(spec, vecs), spec.ambient + 1)[1])
     pts = set()
     for rows in spans:
@@ -472,9 +447,9 @@ def _ruling_monomials(spec0: ScrollSpec, ctx_x: FieldCtx):
     """Every ruling x over the field of ctx_x, and the two GF(q) components of
     the stack of block matrices M(x), one column of monomials per block.
 
-    The fiber matrix of x (`_eval_fiber_matrix`) is W.M(x) for covectors W
-    over GF(q), so the fiber matrices of all rulings are two integer matrix
-    products with these stacks.
+    The fiber matrix of x, the covectors W over GF(q) applied to the block
+    vectors of `_ruling_rows`, is W.M(x), so the fiber matrices of all rulings
+    are two integer matrix products with these stacks.
     """
     import numpy as np
 
@@ -482,7 +457,7 @@ def _ruling_monomials(spec0: ScrollSpec, ctx_x: FieldCtx):
     x = np.array(rulings, dtype=np.int64)
     mons = np.zeros((len(x), spec0.ambient + 1, spec0.n), dtype=np.int64)
     for i, (start, ai) in enumerate(zip(spec0.block_starts, spec0.a)):
-        mons[:, start:start + ai + 1, i] = _monomial_array(ctx_x, x, ai)
+        mons[:, start:start + ai + 1, i] = np.stack(_monomials(ctx_x, *x.T, ai), axis=1)
     mon1, mon0 = np.divmod(mons, ctx_x.q)
     mon0.flags.writeable = mon1.flags.writeable = False
     return rulings, mon0, mon1
@@ -501,5 +476,5 @@ def _span_point_array(ctx: FieldCtx, rows):
     coeffs = np.array(list(projective_points(ctx, len(rows))), dtype=np.int64)
     out = np.zeros((len(coeffs), len(rows[0])), dtype=np.int64)
     for k, row in enumerate(rows):
-        out = array_add(ctx, out, array_mul(ctx, coeffs[:, k, None], np.array(row, dtype=np.int64)))
+        out = ctx.add(out, ctx.mul(coeffs[:, k, None], np.array(row, dtype=np.int64)))
     return out

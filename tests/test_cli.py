@@ -56,6 +56,22 @@ def test_classify_rejects_point_on_scroll(capsys):
     assert code == 65
 
 
+def test_classify_rejects_wrong_length_point(capsys):
+    code, out = run_cli(
+        capsys, "classify", "--scroll", "S(3)", "--point", "1,0,0,1,1", "--q", "7"
+    )
+    assert code == 64
+    assert out == ""
+
+
+def test_classify_rejects_zero_point(capsys):
+    code, out = run_cli(
+        capsys, "classify", "--scroll", "S(3)", "--point", "0,7,0,-14", "--q", "7"
+    )
+    assert code == 64
+    assert out == ""
+
+
 def test_classify_rejects_bad_scroll(capsys):
     code, _ = run_cli(
         capsys, "classify", "--scroll", "S(1,1)", "--point", "1,0,0,0", "--q", "7"

@@ -56,3 +56,18 @@ def test_the_lint_catches_each_rule():
     )
     assert len(_problems(bad)) == 5
     assert _problems("from functools import lru_cache\n@lru_cache(maxsize=8)\ndef f(x):\n    return x\n") == []
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_every_export_exists(path):
+    """Each name in a module's `__all__` is defined there, so a deleted
+    function cannot leave a stale export, and the star import works."""
+    import importlib
+
+    name = "scrollsec" if path.stem == "__init__" else f"scrollsec.{path.stem}"
+    module = importlib.import_module(name)
+    exports = getattr(module, "__all__", ())
+    assert [n for n in exports if not hasattr(module, n)] == []
+    namespace = {}
+    exec(f"from {name} import *", namespace)
+    assert set(exports) <= set(namespace)

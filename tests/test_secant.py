@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from conftest import external_point
+from conftest import external_point, external_points
 from scrollsec import (
     DimensionMismatchError,
     PointOnVarietyError,
+    UnclassifiableSignatureError,
     ZeroVectorError,
     classify_signature,
     classify_with_data,
@@ -403,6 +404,35 @@ def test_one_polar_solve_per_point(monkeypatch, f7):
     project(spec, f7, p)
     assert calls == ["row_reduce", "rref"]
     assert secant._analysis.cache_info().misses == 1
+
+
+def test_analysis_refuses_non_proportional_generator_restrictions(monkeypatch, f7):
+    """The proportionality guard: with the last minor replaced by a binomial
+    that is not a minor, the restrictions to the secant cone disagree (or all
+    vanish), and the analysis raises instead of picking one."""
+    from scrollsec import secant
+    from scrollsec.exactfield import Binomial
+
+    real = secant.quadric_generators
+
+    def tampered(spec, ctx):
+        gens = real(spec, ctx)
+        g0 = gens[0]
+        return gens[:-1] + (Binomial(ctx, g0.n_vars, g0.i, g0.i, g0.k, g0.l),)
+
+    monkeypatch.setattr(secant, "quadric_generators", tampered)
+    secant._analysis.cache_clear()
+    try:
+        for spec in (scroll_new([1, 2]), scroll_new([3])):
+            p = external_points(spec, f7, 1, 1)[0]
+            with pytest.raises(UnclassifiableSignatureError, match="are not proportional"):
+                classify_with_data(spec, f7, p)
+        p = external_points(scroll_new([1, 2]), f7, 1, 8)[7]
+        with pytest.raises(UnclassifiableSignatureError, match="every generator vanishes"):
+            classify_with_data(scroll_new([1, 2]), f7, p)
+    finally:
+        # analyses made with the tampered generators must not outlive the test
+        secant._analysis.cache_clear()
 
 
 def test_classification_path_does_not_load_numpy():
