@@ -591,10 +591,13 @@ def pivot_rows(ctx: FieldCtx, mats):
     that Gaussian elimination takes as pivots, as a boolean mask.
 
     The elimination runs on the whole batch at once: each column takes the
-    first row with a nonzero entry there, if any, as its pivot, and clears
-    the column from every row, the pivot row included, which leaves it zero.
-    No rows are swapped, so the pivot rows of a matrix are a basis of its
-    row space among its own rows, and their number is its rank.
+    first row with a nonzero entry there, if any, as its pivot, and
+    subtracts multiples of it from every row, the pivot row included, so
+    that the column becomes zero.  No later step reads a column again, so
+    only the columns right of the pivot are updated, and the last column
+    updates nothing.  No rows are swapped, so the pivot rows of a matrix are
+    a basis of its row space among its own rows, and their number is its
+    rank.
     """
     import numpy as np
 
@@ -608,8 +611,10 @@ def pivot_rows(ctx: FieldCtx, mats):
             continue
         rows = nonzero[batch].argmax(axis=1)
         picked[batch, rows] = True
-        sub = work[batch]
+        if col + 1 == work.shape[2]:
+            break
+        sub = work[batch, :, col:]
         piv = sub[np.arange(len(batch)), rows]
-        piv = ctx.mul(piv, inv[piv[:, col]][:, None])
-        work[batch] = ctx.sub(sub, ctx.mul(sub[:, :, col, None], piv[:, None, :]))
+        piv = ctx.mul(piv[:, 1:], inv[piv[:, 0]][:, None])
+        work[batch, :, col + 1:] = ctx.sub(sub[:, :, 1:], ctx.mul(sub[:, :, :1], piv[:, None, :]))
     return picked

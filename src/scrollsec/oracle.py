@@ -15,12 +15,15 @@ products mod q:
 
 * `enumerate_points` embeds the whole parameter grid at once, normalizes the
   rows with a table of inverses, and checks them against the closed-form
-  count; the parameters of a row are rebuilt from its index on demand.
-* the pair scan (`_pair_data`) tests every table row against p with one
-  matrix product per component, and the brute-force functions asking about
-  the same point share its masks;
-* the lift check takes the RREF of the locus from the pivot rows that span
-  it, and builds the vertex join as one array.
+  count, counting distinct rows by sorting them on packed integer keys; the
+  parameters of a row are rebuilt from its index on demand.
+* the pair scan (`_pair_data`) tests every table row against p with the
+  first nonzero secant covector, one matrix-vector product per component,
+  and the other covectors only on the rows that pass it; the brute-force
+  functions asking about the same point share its masks;
+* the lift check takes the RREF of p and the locus, first cut down to the
+  pivot rows that span them when there are more rows than coordinates, and
+  builds the vertex join as one array.
 
 numpy is imported inside the functions that use it, so the classification
 path, which imports this module through the package, never loads it.
@@ -185,11 +188,7 @@ def _point_table(spec: ScrollSpec, ctx: FieldCtx) -> PointTable:
     for s in range(0, len(mat), _NORMALIZE_ROWS):
         mat[s:s + _NORMALIZE_ROWS] = normalize_rows(ctx, mat[s:s + _NORMALIZE_ROWS])
 
-    # distinct rows: sort, then compare neighbours (no key packs a whole row,
-    # which would overflow int64 for the larger fields)
-    srt = mat[np.lexsort(mat.T[::-1])]
-    distinct = len(mat) - int((srt[1:] == srt[:-1]).all(axis=1).sum())
-    del srt
+    distinct = _distinct_rows(mat, ctx.size)
     expected = _expected_count(spec, ctx.size)
     if distinct != expected:
         raise InvariantError(
@@ -207,6 +206,37 @@ def _point_table(spec: ScrollSpec, ctx: FieldCtx) -> PointTable:
         nonvertex=nonvertex,
         grid=(verts, xs, us, zs),
     )
+
+
+# a packed key stays below this bound, well inside int64
+_KEY_BOUND = 1 << 62
+
+
+def _distinct_rows(mat, size: int) -> int:
+    """The number of distinct rows of a matrix with entries in [0, size).
+
+    Consecutive columns are packed greedily into integer keys of radix size,
+    a new key starting whenever the next column would take the key past
+    2^62, so no key overflows int64 and a row maps to its keys injectively.
+    The rows are sorted lexicographically on their keys, the last key first
+    and each earlier one with a stable sort, and neighbours compared.
+    """
+    import numpy as np
+
+    keys, bound = [], _KEY_BOUND
+    for col in mat.T:
+        if bound * size > _KEY_BOUND:
+            keys.append(col.copy())
+            bound = size
+        else:
+            keys[-1] *= size
+            keys[-1] += col
+            bound *= size
+    order = np.argsort(keys[-1])
+    for key in keys[-2::-1]:
+        order = order[np.argsort(key[order], kind="stable")]
+    srt = np.stack(keys)[:, order]
+    return len(mat) - int((srt[:, 1:] == srt[:, :-1]).all(axis=0).sum())
 
 
 # table builds show as cache misses of enumerate_points itself
@@ -227,9 +257,15 @@ def _pair_data(spec: ScrollSpec, base_ctx: FieldCtx, table: PointTable, p):
     row lies on a secant or tangent line through p when every
     A_i0 B_i - A_i B_i0 vanishes (i0 the first i with A_i != 0), and p lies
     on its tangent space when every B_i does.  Both conditions are linear in
-    the row, so each GF(q) component of the table meets one matrix of
-    covectors over GF(q), laid out with one column per row so that the
-    all-zero tests run along contiguous arrays.
+    the row, with covectors over GF(q), so they hold for a row over GF(q^2)
+    when they hold for both of its GF(q) components.
+
+    The scan is filtered: the first nonzero secant covector is tested on
+    every row, and the other secant covectors and the polar covectors only
+    on the rows that passed it.  A tangent row is a secant row (all B_i = 0
+    makes every A_i0 B_i - A_i B_i0 vanish), so the tangent test needs only
+    the secant hits.  With no nonzero secant covector every row passes the
+    first stage.
     """
     import numpy as np
 
@@ -241,13 +277,24 @@ def _pair_data(spec: ScrollSpec, base_ctx: FieldCtx, table: PointTable, p):
     w = np.array([g.polar(p) for g in gens], dtype=np.int64)
     a = np.array(a_vals, dtype=np.int64)
     i0 = int(np.nonzero(a)[0][0])
-    covectors = np.vstack([(a[i0] * w - a[:, None] * w[i0]) % q, w])
-    secant_mask = np.ones(len(table), dtype=bool)
-    tangent_mask = np.ones(len(table), dtype=bool)
-    for arr in (table.arr0, table.arr1) if table.ctx.d == 2 else (table.arr0,):
-        vals = covectors @ arr.T % q
-        secant_mask &= ~vals[:len(gens)].any(axis=0)
-        tangent_mask &= ~vals[len(gens):].any(axis=0)
+    secant = (a[i0] * w - a[:, None] * w[i0]) % q
+    secant = secant[secant.any(axis=1)]
+    comps = (table.arr0, table.arr1) if table.ctx.d == 2 else (table.arr0,)
+    if len(secant):
+        first, secant = secant[0], secant[1:]
+        rows = np.flatnonzero(comps[0] @ first % q == 0)
+        for arr in comps[1:]:
+            rows = rows[arr[rows] @ first % q == 0]
+    else:
+        rows = np.arange(len(table))
+    rest = np.vstack([secant, w])
+    nonzero = rest @ comps[0][rows].T % q != 0
+    for arr in comps[1:]:
+        nonzero |= rest @ arr[rows].T % q != 0
+    secant_mask = np.zeros(len(table), dtype=bool)
+    tangent_mask = np.zeros(len(table), dtype=bool)
+    secant_mask[rows[~nonzero[:len(secant)].any(axis=0)]] = True
+    tangent_mask[rows[~nonzero.any(axis=0)]] = True
     return secant_mask, tangent_mask
 
 
@@ -386,8 +433,9 @@ def check_lift_equalities(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**
     cone: compared as the RREF of {p} + brute locus points versus the fast
     cone; (ii) the secant locus point set equals the join of the vertex with
     the base locus.  Returns a list of discrepancy strings (empty = pass).
-    The locus can have thousands of points, so the RREF is taken of the
-    pivot rows that span it, and the join is built as one array.
+    The locus can have thousands of points, so more rows than coordinates
+    are first cut down to the pivot rows that span them, and the join is
+    built as one array.
     """
     import numpy as np
 
@@ -396,8 +444,9 @@ def check_lift_equalities(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**
     nv = spec.ambient + 1
     locus = _locus_array(spec, ctx, p, budget)
     vecs = np.vstack([np.array(normalize_point(ctx, p), dtype=np.int64), locus])
-    basis = vecs[pivot_rows(ctx, vecs[None])[0]]
-    _, brute_rows = rref(ctx, basis.tolist(), nv)
+    if len(vecs) > nv:
+        vecs = vecs[pivot_rows(ctx, vecs[None])[0]]
+    _, brute_rows = rref(ctx, vecs.tolist(), nv)
     if tuple(brute_rows) != tuple(sec.rows):
         problems.append("secant cone differs from vertex-lift of the base cone")
 

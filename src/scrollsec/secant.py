@@ -413,8 +413,9 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     two integer matrix products, one per GF(q^2) component
     (`_ruling_monomials`), and one batched rank test finds the rulings with a
     nonzero cut.  Only those go through `_fiber_kernel_vectors`, with their
-    matrices from the batch, and the points of each cut are enumerated as an
-    array.
+    matrices from the batch.  The cuts are grouped by size, and the points
+    of each group come from one combination of its RREF rows with the
+    cached coefficients of `_coefficient_array`.
     """
     import numpy as np
 
@@ -432,13 +433,21 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     w = np.array(covectors, dtype=np.int64).reshape(-1, spec0.ambient + 1)
     q = ctx_d.q
     fibers = (w @ mon0) % q + q * ((w @ mon1) % q)
-    spans = [_lift_rows(spec, ())] if spec.vertex_size else []
+    by_size = {}
+    if spec.vertex_size:
+        by_size[spec.vertex_size] = [_lift_rows(spec, ())]
     for i in np.nonzero(pivot_rows(ctx_d, fibers).sum(axis=1) < spec0.n)[0]:
         vecs = _fiber_kernel_vectors(spec0, ctx_d, fibers[i].tolist(), rulings[i])
-        spans.append(rref(ctx_d, _lift_rows(spec, vecs), spec.ambient + 1)[1])
+        rank, rows = rref(ctx_d, _lift_rows(spec, vecs), spec.ambient + 1)
+        by_size.setdefault(rank, []).append(rows)
     pts = set()
-    for rows in spans:
-        pts.update(tuple(r) for r in _span_point_array(ctx_d, rows).tolist())
+    for k, spans in by_size.items():
+        coeffs = _coefficient_array(ctx_d, k)
+        rows = np.array(spans, dtype=np.int64)
+        combos = ctx_d.mul(coeffs[:, 0, None], rows[:, None, 0])
+        for j in range(1, k):
+            combos = ctx_d.add(combos, ctx_d.mul(coeffs[:, j, None], rows[:, None, j]))
+        pts.update(map(tuple, combos.reshape(-1, spec.ambient + 1).tolist()))
     return pts
 
 
@@ -463,18 +472,18 @@ def _ruling_monomials(spec0: ScrollSpec, ctx_x: FieldCtx):
     return rulings, mon0, mon1
 
 
-def _span_point_array(ctx: FieldCtx, rows):
-    """Every point of the projective span of RREF rows, as the rows of an array.
+@lru_cache(maxsize=16)
+def _coefficient_array(ctx: FieldCtx, k: int):
+    """The points of P^(k-1) over the field of ctx, as the rows of a read-only
+    array in `projective_points` order.
 
-    The combinations with normalized coefficient vectors: the first nonzero
-    coefficient is 1 and falls on the first row used, whose pivot entry is 1
-    and lies left of every later row's nonzero entries, so each point comes
-    out normalized and once.
+    As coefficient vectors on k RREF rows they give every point of the span
+    once and normalized: the first nonzero coefficient is 1 and falls on the
+    first row used, whose pivot entry is 1 and lies left of every later row's
+    nonzero entries.
     """
     import numpy as np
 
-    coeffs = np.array(list(projective_points(ctx, len(rows))), dtype=np.int64)
-    out = np.zeros((len(coeffs), len(rows[0])), dtype=np.int64)
-    for k, row in enumerate(rows):
-        out = ctx.add(out, ctx.mul(coeffs[:, k, None], np.array(row, dtype=np.int64)))
-    return out
+    coeffs = np.array(list(projective_points(ctx, k)), dtype=np.int64)
+    coeffs.flags.writeable = False
+    return coeffs

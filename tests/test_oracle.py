@@ -285,3 +285,89 @@ def test_polar_kernel_census_matches_brute_force():
                 assert rep.in_Sec == bool((secant_mask & table.nonvertex).any()), (spec, q, p)
                 assert rep.in_Tan == bool((tangent_mask & table.nonvertex).any()), (spec, q, p)
     assert checked == 9020
+
+
+def _dense_line_masks(gens, q, table, p):
+    """The line test of `_pair_data` with every secant and polar covector
+    applied to every row of the table, in both GF(q) components."""
+    import numpy as np
+
+    a = np.array([g.evaluate(p) for g in gens], dtype=np.int64)
+    w = np.array([g.polar(p) for g in gens], dtype=np.int64)
+    i0 = int(np.flatnonzero(a)[0])
+    secant = (a[i0] * w - a[:, None] * w[i0]) % q
+    secant_mask = np.ones(len(table), dtype=bool)
+    tangent_mask = np.ones(len(table), dtype=bool)
+    for arr in (table.arr0, table.arr1):
+        secant_mask &= (arr @ secant.T % q == 0).all(axis=1)
+        tangent_mask &= (arr @ w.T % q == 0).all(axis=1)
+    return secant_mask, tangent_mask
+
+
+def test_filtered_pair_scan_matches_the_dense_scan(monkeypatch):
+    """`_pair_data` tests the later covectors only on the rows that pass the
+    first one; its masks equal the dense scan's at every exterior point of
+    S(3) and S(1,2)+cone(0) over GF(3) and seeded points of S(2,2) and
+    S(1,1,2) over GF(5), against the tables over GF(q) and GF(q^2)."""
+    from scrollsec import contains, oracle, quadric_generators
+
+    cases = []
+    for a, h in (((3,), -1), ((1, 2), 0)):
+        spec = scroll_new(a, h)
+        f3 = field_make(3, 1)
+        cases += [(spec, 3, p) for p in projective_points(f3, spec.ambient + 1)
+                  if not contains(spec, f3, p)]
+    for a in ((2, 2), (1, 1, 2)):
+        spec = scroll_new(a)
+        rng = random.Random(23)
+        cases += [(spec, 5, external_point(spec, field_make(5, 1), rng)) for _ in range(12)]
+    assert len(cases) == 36 + 315 + 24
+    tangent_hits = 0
+    for spec, q, p in cases:
+        base = field_make(q, 1)
+        gens = quadric_generators(spec, base)
+        for d in (1, 2):
+            table = enumerate_points(spec, field_make(q, d))
+            got = oracle._pair_data(spec, base, table, p)
+            want = _dense_line_masks(gens, q, table, p)
+            assert (got[0] == want[0]).all() and (got[1] == want[1]).all(), (spec, d, p)
+            tangent_hits += bool(got[1].any())
+    assert tangent_hits
+
+    # one generator leaves no nonzero secant covector: every row passes the
+    # first stage and the tangent test runs on the whole table
+    spec, f3 = scroll_new([1, 2], 0), field_make(3, 1)
+    table = enumerate_points(spec, field_make(3, 2))
+    first = quadric_generators(spec, f3)[:1]
+    monkeypatch.setattr(oracle, "quadric_generators", lambda sp, ctx: first)
+    points = [p for p in projective_points(f3, 6) if first[0].evaluate(p)]
+    for p in points:
+        secant_mask, tangent_mask = oracle._pair_data(spec, f3, table, p)
+        assert secant_mask.all()
+        assert (tangent_mask == _dense_line_masks(first, 3, table, p)[1]).all(), p
+    assert points
+
+
+@pytest.mark.parametrize("size,cols,rows", [(3, 4, 60), (49, 6, 5000), (10201, 8, 3000)])
+def test_packed_key_distinct_count(size, cols, rows):
+    """`_distinct_rows` packs the columns into int64 keys, several keys when
+    one would overflow (size 10,201 with 8 columns needs two), and counts as
+    many distinct rows as numpy's row-wise unique, with duplicates planted,
+    including rows that differ from an earlier one in a single column."""
+    import numpy as np
+
+    from scrollsec.oracle import _distinct_rows
+
+    rng = np.random.default_rng(size)
+    for _ in range(5):
+        mat = rng.integers(0, size, size=(rows, cols), dtype=np.int64)
+        dup = rng.integers(0, rows, size=(2, rows // 3))
+        mat[dup[0]] = mat[dup[1]]
+        near = rng.integers(0, rows, size=(2, rows // 10))
+        mat[near[0]] = mat[near[1]]
+        mat[near[0], rng.integers(0, cols, size=rows // 10)] = rng.integers(0, size, size=rows // 10)
+        assert _distinct_rows(mat, size) == len(np.unique(mat, axis=0))
+    assert _distinct_rows(np.zeros((4, cols), dtype=np.int64), size) == 1
+    full = np.full((2, cols), size - 1, dtype=np.int64)
+    full[1, -1] = 0
+    assert _distinct_rows(full, size) == 2

@@ -352,8 +352,10 @@ def _subspace_point_set(space):
 def test_secant_locus_points_is_the_union_of_ruling_cuts():
     """The batched ruling scan of `secant_locus_points` finds exactly the
     points of the per-ruling cuts `fiber_secant_space`: every exterior point
-    of S(3) over GF(5) and GF(25), and seeded points of S(1,2)+cone(0) and
-    S(2,2) over GF(3^2)."""
+    of S(3) over GF(5) and GF(25), seeded points of S(1,2)+cone(0) and
+    S(2,2) over GF(3^2), and a TwoLines point of S(1,2)+cone(0) over GF(49),
+    where one ruling is cut in a plane and the others in lines, so that one
+    call enumerates cuts of two sizes."""
     cases = []
     s3, f5 = scroll_new([3]), field_make(5, 1)
     exterior = [p for p in projective_points(f5, 4) if not contains(s3, f5, p)]
@@ -364,15 +366,21 @@ def test_secant_locus_points_is_the_union_of_ruling_cuts():
         spec = scroll_new(a, h)
         rng = random.Random(17)
         cases += [(spec, 3, 2, external_point(spec, f3, rng)) for _ in range(20)]
-    nonempty = 0
+    cases.append((scroll_new([1, 2], 0), 7, 2, (1, 0, 1, 1, 0, 0)))
+    nonempty = mixed = 0
     for spec, q, d, p in cases:
         ctx_d = field_make(q, d)
         union = set()
+        cut_dims = set()
         for x in projective_points(ctx_d, 2):
-            union |= _subspace_point_set(fiber_secant_space(spec, ctx_d, p, x))
+            cut = fiber_secant_space(spec, ctx_d, p, x)
+            union |= _subspace_point_set(cut)
+            cut_dims.add(cut.pdim)
         assert secant_locus_points(spec, ctx_d, p) == union, (spec, d, p)
         nonempty += bool(union)
+        mixed += len(cut_dims - {spec.h}) > 1
     assert nonempty > len(cases) // 2
+    assert mixed
 
 
 def test_one_polar_solve_per_point(monkeypatch, f7):
