@@ -11,7 +11,8 @@ from the same cached secant analysis, and no option changes the mathematics
 
 Exit codes: 0 success/agreement, 2 unclassifiable signature data, 3 label
 disagreement, failed verification or a broken invariant (InvariantError), 64
-usage/parse errors (argparse's too), 65 point on the variety, 66 over budget.
+usage/parse errors (argparse's too, negative counts among them) and an --out
+file that cannot be written, 65 point on the variety, 66 over budget.
 """
 
 from __future__ import annotations
@@ -57,8 +58,12 @@ ORACLE_Q_MAX = 101
 def _emit(report: dict, out_path: str | None) -> None:
     text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # exits 64 like any other bad argument, before anything reaches stdout
+            raise ScrollsecError(f"cannot write the report: {exc}") from exc
     sys.stdout.write(text)
 
 
@@ -77,8 +82,7 @@ def _parse_point(text: str, ctx):
 def _classify_report(spec, ctx, p):
     sig, _, _, _ = classify_with_data(spec, ctx, p)
     report = stratum_geometric(spec, ctx, p)
-    in_sec = report.in_Sec
-    depth = depth_predict(spec, sig, in_sec)
+    depth = depth_predict(spec, sig, report.in_Sec)
     return {
         "scroll": scroll_literal(spec),
         "point": _coords_str(p),
@@ -90,7 +94,7 @@ def _classify_report(spec, ctx, p):
         "sec_dim": sig.sec_dim,
         "depth": depth.depth,
         "acm": depth.acm,
-        "del_pezzo": is_del_pezzo(spec, sig),
+        "del_pezzo": depth.acm,
         "del_pezzo_case": depth.del_pezzo_case,
         "linearly_normal": depth.linearly_normal,
         "memberships": {
@@ -300,6 +304,14 @@ def run_oracle_check(args) -> int:
     return EXIT_OK if not diffs else EXIT_DISAGREEMENT
 
 
+def count(text: str) -> int:
+    """argparse type of a number of points or samples: an int >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scrollsec",
@@ -320,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="stratum census of random external points")
     sp.add_argument("--scroll", required=True)
-    sp.add_argument("--n", type=int, default=200)
+    sp.add_argument("--n", type=count, default=200)
     common(sp, DEFAULT_Q)
     sp.set_defaults(func=run_sample)
 
@@ -328,13 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-deg", type=int, default=6)
     sp.add_argument("--max-n", type=int, default=4)
     sp.add_argument("--max-h", type=int, default=1)
-    sp.add_argument("--verify-samples", type=int, default=50)
+    sp.add_argument("--verify-samples", type=count, default=50)
     common(sp, DEFAULT_Q)
     sp.set_defaults(func=run_atlas)
 
     sp = sub.add_parser("oracle-check", help="cross-validate against brute force")
     sp.add_argument("--scroll", required=True)
-    sp.add_argument("--n", type=int, default=25)
+    sp.add_argument("--n", type=count, default=25)
     sp.add_argument("--d", type=int, default=2, choices=(1, 2))
     sp.add_argument("--budget", type=int, default=10**7)
     common(sp, 7)

@@ -69,6 +69,7 @@ __all__ = [
     "veronese_point_table",
     "veronese_brute_secant_points",
     "sym3_rank",
+    "vec_to_sym3",
 ]
 
 
@@ -84,27 +85,22 @@ class DepthReport:
 def depth_predict(spec: ScrollSpec, sig: SecantSignature, in_sec: bool) -> DepthReport:
     """Arithmetic depth of the projection, predicted from the signature.
 
-    Smooth scroll, point off the secant variety: depth 1 and the projection is
-    not linearly normal.  Otherwise depth is one plus the secant cone
-    dimension (for cones this always applies, the vertex doubles into the
-    locus).  Both cases agree with sig.depth_pred numerically.
+    The depth is one plus the secant cone dimension, sig.depth_pred (for
+    cones the vertex doubles into the locus).  A smooth scroll and a point
+    off the secant variety give depth 1, since the cone is p alone, and a
+    projection that is not linearly normal.
     """
-    smooth = spec.h == -1
-    if smooth and not in_sec:
-        depth = 1
-    else:
-        depth = sig.depth_pred
     acm = is_del_pezzo(spec, sig)
     case = "none"
     if acm:
         tagged = atlas_case_for(spec.a)
         case = tagged[0] if tagged else "none"
     return DepthReport(
-        depth=depth,
+        depth=sig.depth_pred,
         acm=acm,
         j=sig.locus_dim - spec.h,
         del_pezzo_case=case,
-        linearly_normal=not (smooth and not in_sec),
+        linearly_normal=not (spec.h == -1 and not in_sec),
     )
 
 

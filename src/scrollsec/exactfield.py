@@ -41,7 +41,6 @@ from .errors import (
 __all__ = [
     "FieldCtx",
     "field_make",
-    "extension_of",
     "base_of",
     "is_prime",
     "row_reduce",
@@ -163,41 +162,6 @@ class FieldCtx:
     def rand_nonzero(self, rng) -> int:
         return rng.randrange(1, self.size)
 
-    def sqrt_base(self, a: int) -> int | None:
-        """Square root of a prime-field element inside GF(q), or None.
-
-        Tonelli-Shanks, made deterministic by the least non-residue, which the
-        context of GF(q^2) stores (and `field_make` caches).
-        """
-        q = self.q
-        a %= q
-        if a == 0:
-            return 0
-        if pow(a, (q - 1) // 2, q) != 1:
-            return None
-        if q % 4 == 3:
-            return pow(a, (q + 1) // 4, q)
-        nonres = self.c or extension_of(self).c
-        # write q-1 = odd * 2^e and walk the 2-Sylow tower
-        odd, e = q - 1, 0
-        while odd % 2 == 0:
-            odd //= 2
-            e += 1
-        g = pow(nonres, odd, q)
-        x = pow(a, (odd + 1) // 2, q)
-        b = pow(a, odd, q)
-        while b != 1:
-            m, t = 0, b
-            while t != 1:
-                t = t * t % q
-                m += 1
-            gs = pow(g, 1 << (e - m - 1), q)
-            x = x * gs % q
-            b = b * gs % q * gs % q
-            g = gs * gs % q
-            e = m
-        return x
-
 
 def _least_nonresidue(q: int) -> int:
     for c in range(2, q):
@@ -220,10 +184,6 @@ def field_make(q: int, d: int = 1) -> FieldCtx:
     if d not in (1, 2):
         raise DimensionMismatchError(f"extension degree must be 1 or 2, got {d}")
     return FieldCtx(q, d, _least_nonresidue(q) if d == 2 else 0)
-
-
-def extension_of(ctx: FieldCtx) -> FieldCtx:
-    return ctx if ctx.d == 2 else field_make(ctx.q, 2)
 
 
 def base_of(ctx: FieldCtx) -> FieldCtx:

@@ -66,7 +66,7 @@ from .secant import (
     classify_with_data,
     reduced_point,
 )
-from .strata import MembershipReport
+from .strata import MembershipReport, stratum_report
 
 __all__ = [
     "PointTable",
@@ -76,6 +76,8 @@ __all__ = [
     "brute_tangent_witnesses",
     "check_lift_equalities",
     "ambient_zero_locus",
+    "veronese_secant_counts",
+    "tangency_crosscheck",
 ]
 
 
@@ -402,28 +404,8 @@ def brute_membership(
     else:
         in_u = in_a
 
-    if in_a:
-        label = "QuadricSurface"
-    elif in_b:
-        label = "TwoLines"
-    elif in_u:
-        label = "Conic"
-    elif in_tan:
-        label = "DoublePoint"
-    elif in_sec:
-        label = "TwoPoints"
-    else:
-        label = "Empty2Z"
     sig = classify_signature(spec, base_of(ctx), p)
-    return MembershipReport(
-        in_A=in_a,
-        in_B=in_b,
-        in_U=in_u,
-        in_Tan=in_tan,
-        in_Sec=in_sec,
-        label_geom=label,
-        agrees_with_signature=(label == sig.label),
-    )
+    return stratum_report(in_a, in_b, in_u, in_tan, in_sec, sig.label)
 
 
 def check_lift_equalities(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7):

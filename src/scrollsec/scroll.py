@@ -72,10 +72,6 @@ class ScrollSpec:
         return self.n + self.h + 1
 
     @property
-    def codim(self) -> int:
-        return self.deg - 1
-
-    @property
     def k(self) -> int:
         """Number of degree-1 blocks."""
         return sum(1 for x in self.a if x == 1)
@@ -97,10 +93,6 @@ class ScrollSpec:
             starts.append(pos)
             pos += ai + 1
         return tuple(starts)
-
-    @property
-    def smooth(self) -> bool:
-        return self.h == -1
 
     def base(self) -> "ScrollSpec":
         """The smooth scroll this one is a cone over (itself when smooth)."""

@@ -104,7 +104,6 @@ __all__ = [
     "NOT_SECANT",
     "SECANT",
     "TANGENT_CONTACT",
-    "LABELS",
     "SIGNATURE_TABLE",
     "SecantSignature",
     "secant_pair_test",
@@ -120,8 +119,6 @@ NOT_ON_X = "NotOnX"
 NOT_SECANT = "NotSecant"
 SECANT = "Secant"
 TANGENT_CONTACT = "TangentContact"
-
-LABELS = ("Empty2Z", "TwoPoints", "DoublePoint", "TwoLines", "Conic", "QuadricSurface")
 
 # the six legal (s, rank) pairs
 SIGNATURE_TABLE = {
@@ -196,21 +193,6 @@ def secant_pair_test(spec: ScrollSpec, ctx: FieldCtx, p, q) -> str:
     TangentContact means the line meets the scroll doubly at q itself.
     """
     return pair_test_with_generators(ctx, quadric_generators(spec, ctx), p, q)
-
-
-def secant_second_point(spec: ScrollSpec, ctx: FieldCtx, p, q):
-    """For a Secant pair, the residual intersection point -B0*p + A0*q.
-
-    Coincides with q exactly in the TangentContact case.
-    """
-    gens = quadric_generators(spec, ctx)
-    a_vals = [g.evaluate(p) for g in gens]
-    i0 = next(i for i, a in enumerate(a_vals) if a)
-    b0 = polarize(gens[i0], p, q)
-    lam = ctx.neg(b0)
-    mu = a_vals[i0]
-    out = tuple(ctx.add(ctx.mul(lam, pi), ctx.mul(mu, qi)) for pi, qi in zip(p, q))
-    return normalize_point(ctx, out)
 
 
 # ---------------------------------------------------------------------------

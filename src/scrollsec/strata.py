@@ -53,6 +53,7 @@ __all__ = [
     "member_tangent",
     "member_secant_variety",
     "stratum_geometric",
+    "stratum_report",
 ]
 
 
@@ -177,9 +178,8 @@ def member_secant_variety(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
 def stratum_geometric(spec: ScrollSpec, ctx: FieldCtx, p) -> MembershipReport:
     """Stratum of p from the set memberships alone, plus the agreement flag.
 
-    Decision order: quadric surface (A), two lines (B), conic (U), double
-    point (tangent side), two points (secant side), empty.  p is validated
-    once; Tan, Sec and the signature are read from its one cached analysis.
+    p is validated once; Tan, Sec and the signature are read from its one
+    cached analysis.
     """
     p = validate_point(spec, ctx, p)
     sig, _, _, kernel = _analysis(spec, ctx, p)
@@ -188,6 +188,13 @@ def stratum_geometric(spec: ScrollSpec, ctx: FieldCtx, p) -> MembershipReport:
     in_u = member_U(spec, ctx, p)
     in_tan = _kernel_meets_scroll(spec, ctx, kernel)
     in_sec = not kernel.is_empty()
+    return stratum_report(in_a, in_b, in_u, in_tan, in_sec, sig.label)
+
+
+def stratum_report(in_a, in_b, in_u, in_tan, in_sec, signature_label: str) -> MembershipReport:
+    """The stratum decision tree (in the module docstring's order) on the five
+    memberships, and the agreement of its label with the signature-based one.
+    The fast path and the brute-force oracle both label through here."""
     if in_a:
         label = "QuadricSurface"
     elif in_b:
@@ -207,5 +214,5 @@ def stratum_geometric(spec: ScrollSpec, ctx: FieldCtx, p) -> MembershipReport:
         in_Tan=in_tan,
         in_Sec=in_sec,
         label_geom=label,
-        agrees_with_signature=(label == sig.label),
+        agrees_with_signature=(label == signature_label),
     )

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from scrollsec import delpezzo
 from scrollsec.cli import main
 
@@ -174,6 +176,30 @@ def test_broken_invariant_exits_3(capsys, monkeypatch):
     code, out = run_cli(capsys, "atlas", "--max-deg", "3", "--verify-samples", "1")
     assert code == 3
     assert out == ""
+
+
+def test_unwritable_out_file_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["classify", "--scroll", "S(3)", "--point", "1,0,0,1", "--q", "7",
+                 "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--scroll", "S(3)", "--q", "7", "--n", "-4"],
+    ["oracle-check", "--scroll", "S(3)", "--q", "5", "--n", "-1"],
+    ["atlas", "--max-deg", "3", "--max-n", "1", "--max-h", "-1", "--verify-samples", "-1"],
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    # not an empty census (exit 0) or an atlas read as failing its checks (exit 3)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert "must be >= 0" in captured.err
 
 
 def test_oracle_check_rejects_big_q(capsys):

@@ -81,34 +81,6 @@ def test_frobenius_fixes_base_field():
     assert ctx.conj(w) == ctx.neg(w)
 
 
-def test_sqrt_base():
-    for q in (5, 7, 13, 10007):
-        ctx = field_make(q, 1)
-        rng = random.Random(q)
-        for _ in range(20):
-            a = rng.randrange(1, q)
-            sq = ctx.mul(a, a)
-            r = ctx.sqrt_base(sq)
-            assert r is not None and ctx.mul(r, r) == sq
-
-
-def test_sqrt_base_reuses_the_cached_nonresidue(monkeypatch):
-    # q = 10009 is 1 mod 4, so every root walks the 2-Sylow tower
-    calls = []
-    least = exactfield._least_nonresidue
-
-    def counted(q):
-        calls.append(q)
-        return least(q)
-
-    monkeypatch.setattr(exactfield, "_least_nonresidue", counted)
-    ctx = field_make(10009, 1)
-    for a in range(1, 1001):
-        r = ctx.sqrt_base(a * a)
-        assert r * r % 10009 == a * a % 10009
-    assert len(calls) <= 1
-
-
 # ---------------------------------------------------------------------------
 # row reduction
 # ---------------------------------------------------------------------------

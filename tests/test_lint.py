@@ -3,7 +3,8 @@
 `assert` statements vanish under `python -O`, so an invariant written as one
 stops being checked; the program raises typed errors instead.  An unbounded
 `lru_cache(maxsize=None)` or `functools.cache` grows for the life of the
-process.
+process.  A top-level function or class that nothing uses or exports is
+dead code that only its own tests keep alive.
 """
 
 import ast
@@ -11,8 +12,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "scrollsec"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "scrollsec"
 FILES = sorted(SRC.glob("*.py"))
+# where a program definition may be used: the program, the benchmark, the demos
+USERS = sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def _name(node):
@@ -71,3 +75,53 @@ def test_every_export_exists(path):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(exports) <= set(namespace)
+
+
+def _used_names(node) -> set:
+    """Identifiers a node uses: names, attributes, imported names, and strings
+    that are identifiers (`__all__` entries, the tracer's hooks by name)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            out.add(sub.value)
+    return out
+
+
+def _dead_definitions(source: str, elsewhere: set) -> list:
+    """Top-level functions and classes of a module that neither another
+    top-level statement of the module nor `elsewhere` uses."""
+    body = ast.parse(source).body
+    uses = [_used_names(stmt) for stmt in body]
+    dead = []
+    for i, stmt in enumerate(body):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            others = set().union(*uses[:i], *uses[i + 1:])
+            if stmt.name not in others | elsewhere:
+                dead.append(stmt.name)
+    return dead
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_every_definition_is_used_or_exported(path):
+    """Each top-level function and class is in `__all__` or used somewhere in
+    src/, bench/ or demos/ other than its own definition; tests do not count."""
+    elsewhere = set().union(*(_used_names(ast.parse(u.read_text())) for u in USERS if u != path))
+    assert _dead_definitions(path.read_text(), elsewhere) == []
+
+
+def test_the_dead_definition_lint_catches_unused_code():
+    source = (
+        "__all__ = ['exported']\n"
+        "def exported():\n    return 1\n"
+        "def helper():\n    return 2\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Unused:\n    pass\n"
+        "def used_by_bench():\n    return helper()\n"
+    )
+    assert _dead_definitions(source, {"used_by_bench"}) == ["recursive", "Unused"]

@@ -29,14 +29,11 @@ from scrollsec.secant import (
     SECANT,
     SIGNATURE_TABLE,
     TANGENT_CONTACT,
-    secant_second_point,
 )
 
 
 def test_pair_test_secant(f7, s3):
     assert secant_pair_test(s3, f7, (1, 0, 0, 1), (1, 0, 0, 0)) == SECANT
-    second = secant_second_point(s3, f7, (1, 0, 0, 1), (1, 0, 0, 0))
-    assert second == (0, 0, 0, 1)
 
 
 def test_pair_test_tangent_contact(f7, s3):
