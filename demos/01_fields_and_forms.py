@@ -3,7 +3,7 @@
 Run with:  python demos/01_fields_and_forms.py
 """
 
-from scrollsec import QForm, field_make, polarize, qform_rank, qform_restrict, row_reduce, span_points
+from scrollsec import QForm, field_make, qform_rank, row_reduce, span_points
 
 # A prime field and its quadratic extension.  Elements are packed integers:
 # a0 + q*a1 encodes a0 + a1*w with w^2 equal to the least non-residue.
@@ -31,7 +31,8 @@ q = QForm(f7, 4, (
     (half, 0, 0, 0),
 ))
 print("\nrank of x0*x3 - x1*x2:", qform_rank(q))
-print("polar of the form at e0, e3:", polarize(q, (1, 0, 0, 0), (0, 0, 0, 1)))
+# The polar covector at e0, read at e3, is the coefficient of the mixed term.
+print("polar of the form at e0, e3:", q.polar((1, 0, 0, 0))[3])
 
 line = span_points(f7, [(1, 0, 0, 0), (0, 0, 0, 1)], 3)
-print("restricted to the line <e0, e3> it becomes rank", qform_rank(qform_restrict(q, line)))
+print("restricted to the line <e0, e3> it becomes rank", qform_rank(q.restrict(line)))

@@ -23,15 +23,11 @@ from .exactfield import (
     QForm,
     field_make,
     normalize_point,
-    polarize,
     projective_points,
     qform_rank,
-    qform_restrict,
     row_reduce,
     rref,
     span_points,
-    subspace_contains,
-    subspace_intersection,
 )
 from .scroll import (
     ScrollPoint,
@@ -51,10 +47,8 @@ from .secant import (
     SecantSignature,
     classify_signature,
     classify_with_data,
-    fiber_secant_space,
     secant_cone_and_quadric,
     secant_locus_points,
-    secant_pair_test,
 )
 from .strata import (
     MembershipReport,

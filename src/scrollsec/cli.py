@@ -11,8 +11,8 @@ from the same cached secant analysis, and no option changes the mathematics
 
 Exit codes: 0 success/agreement, 2 unclassifiable signature data, 3 label
 disagreement, failed verification or a broken invariant (InvariantError), 64
-usage/parse errors (argparse's too, negative counts among them) and an --out
-file that cannot be written, 65 point on the variety, 66 over budget.
+usage/parse errors (argparse's too, negative counts and atlas bounds that
+admit no scroll among them) and an --out file that cannot be written, 65 point on the variety, 66 over budget.
 """
 
 from __future__ import annotations
@@ -304,12 +304,18 @@ def run_oracle_check(args) -> int:
     return EXIT_OK if not diffs else EXIT_DISAGREEMENT
 
 
-def count(text: str) -> int:
-    """argparse type of a number of points or samples: an int >= 0."""
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    return n
+def at_least(low: int):
+    """argparse type of an int >= low: a number of points or samples (low 0),
+    or an atlas bound that admits the smallest scroll, S(3)."""
+
+    def bounded(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+
+    bounded.__name__ = "int"  # argparse's "invalid int value" for a non-integer
+    return bounded
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,21 +338,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="stratum census of random external points")
     sp.add_argument("--scroll", required=True)
-    sp.add_argument("--n", type=count, default=200)
+    sp.add_argument("--n", type=at_least(0), default=200)
     common(sp, DEFAULT_Q)
     sp.set_defaults(func=run_sample)
 
     sp = sub.add_parser("atlas", help="emit the Del Pezzo atlas with verification")
-    sp.add_argument("--max-deg", type=int, default=6)
-    sp.add_argument("--max-n", type=int, default=4)
-    sp.add_argument("--max-h", type=int, default=1)
-    sp.add_argument("--verify-samples", type=count, default=50)
+    sp.add_argument("--max-deg", type=at_least(3), default=6)
+    sp.add_argument("--max-n", type=at_least(1), default=4)
+    sp.add_argument("--max-h", type=at_least(-1), default=1)
+    sp.add_argument("--verify-samples", type=at_least(0), default=50)
     common(sp, DEFAULT_Q)
     sp.set_defaults(func=run_atlas)
 
     sp = sub.add_parser("oracle-check", help="cross-validate against brute force")
     sp.add_argument("--scroll", required=True)
-    sp.add_argument("--n", type=count, default=25)
+    sp.add_argument("--n", type=at_least(0), default=25)
     sp.add_argument("--d", type=int, default=2, choices=(1, 2))
     sp.add_argument("--budget", type=int, default=10**7)
     common(sp, 7)

@@ -26,12 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DimensionMismatchError,
-    InvariantError,
-    PointOnVarietyError,
-    ZeroMatrixError,
-)
+from .errors import InvariantError, ZeroMatrixError
 from .exactfield import (
     Binomial,
     FieldCtx,
@@ -356,16 +351,8 @@ class ProjectionMap:
     p: tuple
     pivot: int
 
-    def apply(self, v):
-        if len(v) != len(self.p):
-            raise DimensionMismatchError("point has the wrong number of coordinates")
-        out = self.apply_linear(v)
-        if not any(out):
-            raise PointOnVarietyError("cannot project the center point")
-        return normalize_point(self.ctx, out)
-
     def apply_linear(self, v):
-        """Same map without the projective nonzero check (for spans)."""
+        """The image of the vector v; the center maps to zero."""
         ctx = self.ctx
         f = ctx.mul(v[self.pivot], ctx.inv(self.p[self.pivot]))
         out = [ctx.sub(x, ctx.mul(f, px)) for x, px in zip(v, self.p)]

@@ -8,7 +8,7 @@ is simultaneously a valid GF(q^2) value and vectors never need re-encoding when
 the computation moves into the extension.
 
 The arithmetic of `FieldCtx` is written once for both kinds of operand:
-`add`, `sub`, `neg`, `mul` and `conj` also take int64 numpy arrays of packed
+`add`, `sub`, `neg` and `mul` also take int64 numpy arrays of packed
 elements (any shapes that broadcast) and return arrays.  `inv` takes scalars
 only; `inverse_array` is its lookup table for arrays.
 
@@ -50,12 +50,9 @@ __all__ = [
     "unit_rows",
     "LinearSubspace",
     "span_points",
-    "subspace_contains",
     "subspace_intersection",
     "QForm",
     "Binomial",
-    "polarize",
-    "qform_restrict",
     "qform_rank",
     "inverse_array",
     "normalize_rows",
@@ -86,7 +83,7 @@ class FieldCtx:
     c: for d = 2, the least quadratic non-residue mod q (the extension is
        GF(q)[w]/(w^2 - c)); 0 for d = 1.
 
-    add, sub, neg, mul and conj accept packed ints or int64 arrays of packed
+    add, sub, neg and mul accept packed ints or int64 arrays of packed
     elements; inv accepts ints only (use `inverse_array` for arrays).
     """
 
@@ -141,20 +138,6 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of zero")
         ninv = pow(norm, q - 2, q)
         return (a0 * ninv) % q + q * ((-a1 * ninv) % q)
-
-    def conj(self, a: int) -> int:
-        """Frobenius x -> x^q; identity on the prime field."""
-        if self.d == 1:
-            return a % self.q
-        a1, a0 = divmod(a, self.q)
-        return a0 + self.q * ((-a1) % self.q)
-
-    def is_base(self, a: int) -> bool:
-        """True when the element lies in the prime subfield GF(q)."""
-        return a < self.q
-
-    def elements(self):
-        return range(self.size)
 
     def rand(self, rng) -> int:
         return rng.randrange(self.size)
@@ -352,11 +335,6 @@ def span_points(ctx: FieldCtx, points, ambient: int) -> LinearSubspace:
     return LinearSubspace(ctx, ambient, tuple(ech))
 
 
-def subspace_contains(space: LinearSubspace, p) -> bool:
-    """Membership test p in space; the empty subspace contains nothing."""
-    return space.contains(p)
-
-
 def subspace_intersection(a: LinearSubspace, b: LinearSubspace) -> LinearSubspace:
     """Intersection of two projective subspaces of the same ambient space."""
     if a.ambient != b.ambient or a.ctx != b.ctx:
@@ -417,7 +395,10 @@ class QForm:
         return total
 
     def polar(self, p) -> tuple:
-        """The covector 2 * p^T * gram (see `polarize`)."""
+        """The covector 2 * p^T * gram; its product with v is the coefficient
+        B of l*m in Q(l*p + m*v) = l^2 Q(p) + l*m*B + m^2 Q(v)."""
+        if len(p) != self.n_vars:
+            raise DimensionMismatchError("vector length != n_vars")
         ctx = self.ctx
         return tuple(ctx.add(x, x) for x in (_dot(ctx, p, row) for row in self.gram))
 
@@ -456,7 +437,9 @@ class Binomial:
         return self.ctx.sub(mul(v[self.i], v[self.j]), mul(v[self.k], v[self.l]))
 
     def polar(self, p) -> tuple:
-        """The covector 2 * p^T * G, G the Gram matrix (see `polarize`)."""
+        """The covector 2 * p^T * G, G the Gram matrix (see `QForm.polar`)."""
+        if len(p) != self.n_vars:
+            raise DimensionMismatchError("vector length != n_vars")
         add, sub = self.ctx.add, self.ctx.sub
         i, j, k, l = self.i, self.j, self.k, self.l  # noqa: E741
         out = [0] * self.n_vars
@@ -480,26 +463,6 @@ class Binomial:
         m = len(u)
         gram = tuple(tuple(mul(half, add(u[a][b], u[b][a])) for b in range(m)) for a in range(m))
         return QForm(ctx, m, gram)
-
-
-def polarize(form, p, v) -> int:
-    """Bilinear coefficient B with Q(l*p + m*v) = l^2 Q(p) + l*m*B + m^2 Q(v).
-
-    Equals 2 * p^T * gram * v, the product of `form.polar(p)` with v, for a
-    QForm or a Binomial.
-    """
-    if len(p) != form.n_vars or len(v) != form.n_vars:
-        raise DimensionMismatchError("vector length != n_vars")
-    return _dot(form.ctx, form.polar(p), v)
-
-
-def qform_restrict(form, space: LinearSubspace) -> QForm:
-    """Pull the form back along the parametrization of a subspace.
-
-    The result acts on coefficient vectors w with respect to the basis rows:
-    Q'(w) = Q(w . basis).  form is a QForm or a Binomial.
-    """
-    return form.restrict(space)
 
 
 def _dot(ctx: FieldCtx, u, v) -> int:

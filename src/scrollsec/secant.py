@@ -82,7 +82,6 @@ from .exactfield import (
     base_of,
     normalize_point,
     pivot_rows,
-    polarize,
     projective_points,
     qform_rank,
     row_reduce,
@@ -173,7 +172,7 @@ def pair_test_with_generators(ctx: FieldCtx, gens, p, q) -> str:
         raise ZeroVectorError("q is the zero vector")
     if any(g.evaluate(q) for g in gens):
         return NOT_ON_X
-    b_vals = [polarize(g, p, q) for g in gens]
+    b_vals = [_dot(ctx, g.polar(p), q) for g in gens]
     if not any(b_vals):
         return TANGENT_CONTACT
     i0 = next(i for i, a in enumerate(a_vals) if a)

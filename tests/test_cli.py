@@ -202,6 +202,21 @@ def test_negative_counts_are_usage_errors(capsys, argv):
     assert "must be >= 0" in captured.err
 
 
+@pytest.mark.parametrize("flag,value,low", [
+    ("--max-deg", "-1", 3),
+    ("--max-deg", "2", 3),
+    ("--max-n", "0", 1),
+    ("--max-h", "-2", -1),
+])
+def test_atlas_bounds_below_the_smallest_scroll_are_usage_errors(capsys, flag, value, low):
+    # an atlas bounded to no scroll would print no entries and "verified": true
+    code = main(["atlas", "--verify-samples", "1", flag, value])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert f"must be >= {low}, got {value}" in captured.err
+
+
 def test_oracle_check_rejects_big_q(capsys):
     code, _ = run_cli(
         capsys, "oracle-check", "--scroll", "S(3)", "--q", "10007", "--n", "1"

@@ -1,4 +1,10 @@
-"""Every demo runs to completion against this checkout and prints something."""
+"""Every demo runs to completion against this checkout and prints exactly its
+golden output, `tests/golden/demos/<name>.txt`.
+
+The demos are deterministic, so a golden file changes only with a deliberate
+change to what a demo shows; regenerate one with
+`PYTHONPATH=src python demos/<name>.py > tests/golden/demos/<name>.txt`.
+"""
 
 import os
 import subprocess
@@ -9,10 +15,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden" / "demos"
 
 
 def test_demos_are_found():
     assert len(DEMOS) >= 7
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == [p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -27,4 +35,4 @@ def test_demo_runs(demo):
         timeout=600,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
+    assert result.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()

@@ -4,10 +4,14 @@
 stops being checked; the program raises typed errors instead.  An unbounded
 `lru_cache(maxsize=None)` or `functools.cache` grows for the life of the
 process.  A top-level function or class that nothing uses or exports is
-dead code that only its own tests keep alive.
+dead code that only its own tests keep alive, and so is a method or property
+that nothing reaches by attribute, or a package re-export that neither the
+README, a demo nor the program names.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -77,19 +81,20 @@ def test_every_export_exists(path):
     assert set(exports) <= set(namespace)
 
 
-def _used_names(node) -> set:
-    """Identifiers a node uses: names, attributes, imported names, and strings
-    that are identifiers (`__all__` entries, the tracer's hooks by name)."""
-    out = set()
-    for sub in ast.walk(node):
+def _used_names(node, walk=ast.walk) -> Counter:
+    """How often a node uses each identifier: names, attributes, imported
+    names, and strings that are identifiers (`__all__` entries, the tracer's
+    hooks by name)."""
+    out = Counter()
+    for sub in walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out[sub.attr] += 1
         elif isinstance(sub, ast.alias):
-            out.add(sub.name)
+            out[sub.name] += 1
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
-            out.add(sub.value)
+            out[sub.value] += 1
     return out
 
 
@@ -125,3 +130,120 @@ def test_the_dead_definition_lint_catches_unused_code():
         "def used_by_bench():\n    return helper()\n"
     )
     assert _dead_definitions(source, {"used_by_bench"}) == ["recursive", "Unused"]
+
+
+def _nodes(tree):
+    """Every node of a tree except those of `__all__` assignments: exporting a
+    name is not a use of a method, nor a reason to re-export it."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            continue
+        yield node
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def _member_uses(tree) -> Counter:
+    """How often each attribute name or identifier string occurs, the two ways
+    a method or property is reached (the tracer wraps methods by name)."""
+    out = Counter()
+    for node in _nodes(tree):
+        if isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            out[node.value] += 1
+    return out
+
+
+def _unused_members(source: str, elsewhere: set) -> list:
+    """Methods and properties (dunders aside) that neither their module outside
+    their own body nor `elsewhere` reaches, as "Class.name"."""
+    tree = ast.parse(source)
+    here = _member_uses(tree)
+    dead = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for fn in cls.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name.startswith("__"):
+                continue
+            if here[fn.name] <= _member_uses(fn)[fn.name] and fn.name not in elsewhere:
+                dead.append(f"{cls.name}.{fn.name}")
+    return dead
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_every_method_is_used(path):
+    """Each method and property is reached by attribute or by name somewhere in
+    src/, bench/ or demos/ outside its own body; tests do not count."""
+    elsewhere = set().union(*(_member_uses(ast.parse(u.read_text())) for u in USERS if u != path))
+    assert _unused_members(path.read_text(), elsewhere) == []
+
+
+def test_the_method_lint_catches_unused_methods():
+    source = (
+        "__all__ = ['exported']\n"
+        "class A:\n"
+        "    def __init__(self):\n        self.used()\n"
+        "    def used(self):\n        return 1\n"
+        "    @property\n    def by_name(self):\n        return 2\n"
+        "    def recursive(self):\n        return self.recursive()\n"
+        "    def exported(self):\n        return 3\n"
+        "    def unused(self):\n        return 4\n"
+        "def hook(a):\n    return getattr(a, 'by_name')\n"
+    )
+    assert _unused_members(source, set()) == ["A.recursive", "A.exported", "A.unused"]
+    assert _unused_members(source, {"unused"}) == ["A.recursive", "A.exported"]
+
+
+def _package_imports(source: str) -> list:
+    """The names a package `__init__.py` imports, as the package exports them."""
+    return [alias.asname or alias.name
+            for node in ast.parse(source).body if isinstance(node, ast.ImportFrom)
+            for alias in node.names]
+
+
+def _used_outside_definition(tree, name: str) -> bool:
+    """Whether a module uses `name` outside `__all__` and outside the
+    top-level definition of `name`, if it has one."""
+    own = [stmt for stmt in tree.body if getattr(stmt, "name", None) == name]
+    return _used_names(tree, _nodes)[name] > sum(_used_names(stmt, _nodes)[name] for stmt in own)
+
+
+def _unused_reexports(init_source: str, modules: list, elsewhere: set) -> list:
+    """Names the package imports that no module of `modules` uses outside its
+    own definition and `__all__`, and that `elsewhere` does not name."""
+    trees = [ast.parse(m) for m in modules]
+    return [
+        name for name in _package_imports(init_source)
+        if name not in elsewhere and not any(_used_outside_definition(t, name) for t in trees)
+    ]
+
+
+def _readme_names(text: str) -> set:
+    """Identifiers the README names; `module.name` reaches a name through its
+    module, so it is no reason for the package to re-export it."""
+    return set(re.findall(r"(?<![\w.])[A-Za-z_]\w*", text))
+
+
+def test_every_package_export_is_named_outside_the_tests():
+    """Each name the package imports is in the README, a demo, or src/ outside
+    `__init__.py` and its own definition; tests do not count."""
+    init = SRC / "__init__.py"
+    modules = [path.read_text() for path in FILES if path != init]
+    elsewhere = _readme_names((ROOT / "README.md").read_text()).union(
+        *(_used_names(ast.parse(demo.read_text())) for demo in sorted(ROOT.glob("demos/*.py"))))
+    assert _unused_reexports(init.read_text(), modules, elsewhere) == []
+
+
+def test_the_export_lint_catches_an_unused_reexport():
+    init = "from .a import used, in_readme, spare, recursive\nfrom .b import Helper\n"
+    a = (
+        "__all__ = ['used', 'in_readme', 'spare', 'recursive']\n"
+        "def used():\n    return 1\n"
+        "def in_readme():\n    return 2\n"
+        "def spare():\n    return 3\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+    )
+    b = "from .a import used\nclass Helper:\n    pass\ndef f():\n    return used(), Helper()\n"
+    readme = _readme_names("Call `in_readme()`; `a.spare` is in its module.")
+    assert _unused_reexports(init, [a, b], readme) == ["spare", "recursive"]

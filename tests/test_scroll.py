@@ -20,10 +20,9 @@ from scrollsec import (
     scroll_literal,
     scroll_new,
     special_subspaces,
-    subspace_contains,
-    subspace_intersection,
     tangent_space,
 )
+from scrollsec.exactfield import subspace_intersection
 from scrollsec.oracle import ambient_zero_locus, enumerate_points
 
 
@@ -145,22 +144,22 @@ def test_embedded_points_satisfy_generators():
 def test_ruling_subspace_s12(f7, s12):
     r = ruling_subspace(s12, f7, (1, 0))
     assert r.pdim == 1
-    assert subspace_contains(r, (1, 0, 0, 0, 0))
-    assert subspace_contains(r, (0, 0, 1, 0, 0))
-    assert subspace_contains(r, (3, 0, 5, 0, 0))
+    assert r.contains((1, 0, 0, 0, 0))
+    assert r.contains((0, 0, 1, 0, 0))
+    assert r.contains((3, 0, 5, 0, 0))
 
 
 def test_ruling_is_point_for_curve(f7, s3):
     r = ruling_subspace(s3, f7, (1, 2))
     assert r.pdim == 0
-    assert subspace_contains(r, embed(s3, f7, ScrollPoint((1, 2), (1,), ())))
+    assert r.contains(embed(s3, f7, ScrollPoint((1, 2), (1,), ())))
 
 
 def test_cone_ruling_gains_vertex(f7):
     spec = scroll_new([1, 2], 0)
     r = ruling_subspace(spec, f7, (1, 3))
     assert r.pdim == 2
-    assert subspace_contains(r, (1, 0, 0, 0, 0, 0))
+    assert r.contains((1, 0, 0, 0, 0, 0))
 
 
 def test_tangent_space_of_cubic_at_power_point(f7, s3):
@@ -183,14 +182,14 @@ def test_tangent_space_contains_point_and_ruling():
             pt = random_scroll_point(spec, f11, rng)
             t = tangent_space(spec, f11, pt)
             assert t.pdim == spec.dim
-            assert subspace_contains(t, embed(spec, f11, pt))
+            assert t.contains(embed(spec, f11, pt))
             assert_contains_ruling(spec, f11, pt, t)
 
 
 def assert_contains_ruling(spec, ctx, pt, tangent):
     ruling = ruling_subspace(spec, ctx, pt.x)
     for row in ruling.rows:
-        assert subspace_contains(tangent, row)
+        assert tangent.contains(row)
 
 
 def test_same_ruling_tangents_meet_in_ruling():
@@ -226,9 +225,9 @@ def test_tangent_space_when_char_divides_degree():
             pt = random_scroll_point(spec, ctx, rng)
             t = tangent_space(spec, ctx, pt)
             assert t.pdim == spec.dim
-            assert subspace_contains(t, embed(spec, ctx, pt))
+            assert t.contains(embed(spec, ctx, pt))
             for row in ruling_subspace(spec, ctx, pt.x).rows:
-                assert subspace_contains(t, row)
+                assert t.contains(row)
 
 
 def test_tangent_space_rejects_vertex(f7):
@@ -241,8 +240,8 @@ def test_special_subspaces_s12(f7, s12):
     data = special_subspaces(s12, f7)
     assert data["A"].pdim == 1
     assert data["S2span"].pdim == 2
-    assert subspace_contains(data["A"], (1, 4, 0, 0, 0))
-    assert subspace_contains(data["S2span"], (0, 0, 1, 2, 3))
+    assert data["A"].contains((1, 4, 0, 0, 0))
+    assert data["S2span"].contains((0, 0, 1, 2, 3))
 
 
 def test_special_subspaces_s22(f7):
