@@ -9,7 +9,8 @@ Run with:  python demos/07_veronese.py
 """
 
 from scrollsec import field_make, veronese_classify
-from scrollsec.delpezzo import sym3_to_vec, veronese_brute_secant_points
+from scrollsec.delpezzo import sym3_to_vec
+from scrollsec.oracle import veronese_secant_masks
 
 f7 = field_make(7, 1)
 
@@ -24,8 +25,8 @@ for m in ([[1, 0, 0], [0, 0, 0], [0, 0, 0]],
 
 print("\nbrute check for the rank-2 example: the locus is a smooth conic,")
 m2 = sym3_to_vec(f7, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-pts = veronese_brute_secant_points(f7, m2)
-print(f"and a smooth conic over GF(7) has q+1 = 8 points; found {len(pts)}.")
+hits = veronese_secant_masks(f7, [m2])[0]
+print(f"and a smooth conic over GF(7) has q+1 = 8 points; found {hits.sum()}.")
 
 print("\nover a vertex the conic case stays maximal:")
 kind, rep = veronese_classify([[1, 0, 0], [0, 1, 0], [0, 0, 0]], f7, h=0)

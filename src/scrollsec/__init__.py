@@ -47,7 +47,6 @@ from .secant import (
     SecantSignature,
     classify_signature,
     classify_with_data,
-    secant_cone_and_quadric,
     secant_locus_points,
 )
 from .strata import (

@@ -18,15 +18,15 @@ against an independently hand-coded list.
 The Veronese surface is handled separately through its symmetric-matrix model:
 a symmetric 3x3 matrix of rank 1 is a point of the surface, rank 2 gives a
 conic secant locus (always the Del Pezzo situation), rank 3 gives an empty
-one.  These equivalences are validated by brute force over small fields rather
-than assumed.
+one.  These equivalences are validated by brute force over small fields
+(`oracle.veronese_secant_masks`) rather than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantError, ZeroMatrixError
+from .errors import DimensionMismatchError, EmptyTypeError, InvariantError, ZeroMatrixError
 from .exactfield import (
     Binomial,
     FieldCtx,
@@ -36,15 +36,7 @@ from .exactfield import (
     span_points,
 )
 from .scroll import ScrollSpec, contains, scroll_literal, scroll_new
-from .secant import (
-    NOT_ON_X,
-    SECANT,
-    TANGENT_CONTACT,
-    SecantSignature,
-    _analysis,
-    pair_test_with_generators,
-    validate_point,
-)
+from .secant import SecantSignature, _analysis, validate_point
 
 __all__ = [
     "DepthReport",
@@ -62,9 +54,7 @@ __all__ = [
     "veronese_generators",
     "veronese_embed",
     "veronese_point_table",
-    "veronese_brute_secant_points",
     "sym3_rank",
-    "vec_to_sym3",
 ]
 
 
@@ -184,7 +174,12 @@ def atlas_enumerate(max_deg: int, max_n: int, max_h: int) -> list:
     """Every scroll type in bounds whose projection can be maximally Del Pezzo,
     with the exact qualifying point locus.  Families with no such locus are
     omitted.  The locus kind derived from the generic rule must agree with the
-    family pattern; a mismatch is a hard error."""
+    family pattern; a mismatch is a hard error.  Bounds that admit no scroll
+    (max_deg below 3, max_n below 1, max_h below -1) raise EmptyTypeError."""
+    if max_deg < 3 or max_n < 1 or max_h < -1:
+        raise EmptyTypeError(
+            f"atlas bounds max_deg={max_deg}, max_n={max_n}, max_h={max_h} admit no scroll"
+        )
     entries = []
     for n in range(1, max_n + 1):
         for a in _types_of_length(n, max_deg):
@@ -393,14 +388,6 @@ def sym3_to_vec(ctx: FieldCtx, m):
     return tuple(m[i][j] % ctx.size for i, j in _SYM_IDX)
 
 
-def vec_to_sym3(v):
-    m = [[0] * 3 for _ in range(3)]
-    for val, (i, j) in zip(v, _SYM_IDX):
-        m[i][j] = val
-        m[j][i] = val
-    return m
-
-
 def sym3_rank(ctx: FieldCtx, m) -> int:
     return rref(ctx, m, 3)[0]
 
@@ -429,8 +416,16 @@ def veronese_classify(m, ctx: FieldCtx, h: int = -1):
     smooth-conic secant locus, which is always the maximal Del Pezzo case;
     rank 3 gives an empty locus.  The returned DepthReport follows the same
     vertex-lift rules as the scroll pipeline (the surface has dimension 2, so
-    the cone has dimension h + 3).
+    the cone has dimension h + 3).  A vertex dimension below -1 raises
+    EmptyTypeError, and a matrix that is not 3x3 and symmetric mod q
+    DimensionMismatchError.
     """
+    if h < -1:
+        raise EmptyTypeError("vertex dimension must be >= -1")
+    if len(m) != 3 or any(len(row) != 3 for row in m) or any(
+        (m[i][j] - m[j][i]) % ctx.size for i, j in _SYM_IDX
+    ):
+        raise DimensionMismatchError("need a symmetric 3x3 matrix")
     if all(x % ctx.size == 0 for row in m for x in row):
         raise ZeroMatrixError("zero symmetric matrix")
     rank = sym3_rank(ctx, m)
@@ -462,16 +457,3 @@ def veronese_classify(m, ctx: FieldCtx, h: int = -1):
 def veronese_point_table(ctx: FieldCtx):
     """All rational points of the Veronese surface (one per point of P^2)."""
     return [normalize_point(ctx, veronese_embed(ctx, v)) for v in projective_points(ctx, 3)]
-
-
-def veronese_brute_secant_points(ctx: FieldCtx, mvec):
-    """Brute-force secant locus of a symmetric-matrix point over the full table."""
-    gens = veronese_generators(ctx)
-    out = []
-    for q in veronese_point_table(ctx):
-        verdict = pair_test_with_generators(ctx, gens, mvec, q)
-        if verdict in (SECANT, TANGENT_CONTACT):
-            out.append(q)
-        elif verdict == NOT_ON_X:
-            raise InvariantError("table point claims to be off the Veronese surface")
-    return out

@@ -50,7 +50,6 @@ __all__ = [
     "unit_rows",
     "LinearSubspace",
     "span_points",
-    "subspace_intersection",
     "QForm",
     "Binomial",
     "qform_rank",
@@ -333,31 +332,6 @@ def span_points(ctx: FieldCtx, points, ambient: int) -> LinearSubspace:
         return LinearSubspace(ctx, ambient, ())
     _, ech = rref(ctx, pts, ambient + 1)
     return LinearSubspace(ctx, ambient, tuple(ech))
-
-
-def subspace_intersection(a: LinearSubspace, b: LinearSubspace) -> LinearSubspace:
-    """Intersection of two projective subspaces of the same ambient space."""
-    if a.ambient != b.ambient or a.ctx != b.ctx:
-        raise DimensionMismatchError("subspaces live in different spaces")
-    if a.is_empty() or b.is_empty():
-        return LinearSubspace(a.ctx, a.ambient, ())
-    stacked = list(a.rows) + list(b.rows)
-    # row dependencies of the stacked basis give the common vectors
-    transpose = [[row[j] for row in stacked] for j in range(a.ambient + 1)]
-    _, _, deps = row_reduce(a.ctx, transpose, len(stacked))
-    ctx = a.ctx
-    na = len(a.rows)
-    pts = []
-    for dep in deps:
-        v = [0] * (a.ambient + 1)
-        for i in range(na):
-            if dep[i]:
-                for j in range(a.ambient + 1):
-                    if a.rows[i][j]:
-                        v[j] = ctx.add(v[j], ctx.mul(dep[i], a.rows[i][j]))
-        if any(v):
-            pts.append(tuple(v))
-    return span_points(ctx, pts, a.ambient)
 
 
 # ---------------------------------------------------------------------------

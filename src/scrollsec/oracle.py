@@ -23,7 +23,9 @@ products mod q:
   functions asking about the same point share its masks;
 * the lift check takes the RREF of p and the locus, first cut down to the
   pivot rows that span them when there are more rows than coordinates, and
-  builds the vertex join as one array.
+  builds the vertex join as one array;
+* `veronese_secant_masks` line-tests a whole batch of symmetric-matrix
+  points against the Veronese surface's point table at once.
 
 numpy is imported inside the functions that use it, so the classification
 path, which imports this module through the package, never loads it.
@@ -59,7 +61,6 @@ from .scroll import (
     _ruling_rows,
     embed,
     quadric_generators,
-    tangent_space,
 )
 from .secant import (
     classify_signature,
@@ -73,11 +74,9 @@ __all__ = [
     "enumerate_points",
     "brute_secant_locus",
     "brute_membership",
-    "brute_tangent_witnesses",
     "check_lift_equalities",
     "ambient_zero_locus",
-    "veronese_secant_counts",
-    "tangency_crosscheck",
+    "veronese_secant_masks",
 ]
 
 
@@ -89,18 +88,14 @@ class PointTable:
     first, then every x of P^1 in `_line_points` order, every u of P^(n-1)
     and every affine vertex part z, the last varying fastest.  arr0 and arr1
     hold the two GF(q) components of the packed coordinates (arr1 is zero
-    over a prime field), nonvertex flags the rows off the vertex, and grid
-    keeps the four parameter lists (vertex points, x, u, z) that
-    `param(i)` reads row i's parameters from.  `points`, every row as a
-    tuple, is built on first use.
+    over a prime field) and nonvertex flags the rows off the vertex.
+    `points`, every row as a tuple, is built on first use.
     """
 
-    spec: ScrollSpec
     ctx: FieldCtx
     arr0: np.ndarray
     arr1: np.ndarray
     nonvertex: np.ndarray
-    grid: tuple
 
     def __len__(self):
         return len(self.arr0)
@@ -119,17 +114,6 @@ class PointTable:
     @cached_property
     def points(self) -> list:
         return [tuple(r) for r in self.packed(slice(None)).tolist()]
-
-    def param(self, i: int) -> ScrollPoint:
-        """The parameters (x, u, z) whose embedding is row i."""
-        if not 0 <= i < len(self):
-            raise IndexError(f"no row {i} in a table of {len(self)} points")
-        verts, xs, us, zs = self.grid
-        if i < len(verts):
-            return ScrollPoint((0, 0), (0,) * self.spec.n, verts[i])
-        i, zi = divmod(int(i) - len(verts), len(zs))
-        xi, ui = divmod(i, len(us))
-        return ScrollPoint(xs[xi], us[ui], zs[zi])
 
 
 def _expected_count(spec: ScrollSpec, size: int) -> int:
@@ -196,18 +180,13 @@ def _point_table(spec: ScrollSpec, ctx: FieldCtx) -> PointTable:
         raise InvariantError(
             f"enumerated {distinct} points, expected {expected} for {spec}"
         )
-    arr1, arr0 = np.divmod(mat, ctx.q)
+    # split the packed entries into their GF(q) components, reusing mat
+    arr1 = mat // ctx.q
+    arr0 = np.remainder(mat, ctx.q, out=mat)
     nonvertex = np.arange(len(mat)) >= nvert
     for arr in (arr0, arr1, nonvertex):
         arr.flags.writeable = False
-    return PointTable(
-        spec=spec,
-        ctx=ctx,
-        arr0=arr0,
-        arr1=arr1,
-        nonvertex=nonvertex,
-        grid=(verts, xs, us, zs),
-    )
+    return PointTable(ctx=ctx, arr0=arr0, arr1=arr1, nonvertex=nonvertex)
 
 
 # a packed key stays below this bound, well inside int64
@@ -332,14 +311,6 @@ def _locus_array(spec: ScrollSpec, ctx: FieldCtx, p, budget: int):
     return table.packed(secant_mask)
 
 
-def brute_tangent_witnesses(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7):
-    """Indices of non-vertex table points whose tangent space contains p."""
-    import numpy as np
-
-    table, (_, tangent_mask) = _masks(spec, ctx, p, budget)
-    return list(np.nonzero(tangent_mask & table.nonvertex)[0])
-
-
 def brute_membership(
     spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7
 ) -> MembershipReport:
@@ -461,12 +432,14 @@ def ambient_zero_locus(spec: ScrollSpec, ctx: FieldCtx, budget: int = 10**7):
     return out
 
 
-def veronese_secant_counts(ctx: FieldCtx, mvecs) -> np.ndarray:
-    """Brute secant-locus point counts on the Veronese surface, batched.
+def veronese_secant_masks(ctx: FieldCtx, mvecs):
+    """Brute secant loci on the Veronese surface, batched.
 
     For every external symmetric-matrix point in mvecs (6 packed coordinates,
-    prime field only), applies the pairwise line test against the full
-    rational point table and returns the number of hits.
+    prime field only), applies the pairwise line test against every row of
+    `veronese_point_table(ctx)` and returns the hits as a boolean array with
+    one row per point and one column per table row.  Every table row must lie
+    on the surface.
     """
     import numpy as np
 
@@ -479,12 +452,14 @@ def veronese_secant_counts(ctx: FieldCtx, mvecs) -> np.ndarray:
     table = np.array(veronese_point_table(ctx), dtype=np.int64)
     # generator g is x_i[g] x_j[g] - x_k[g] x_l[g]
     i, j, k, l = (np.array(ix) for ix in zip(*((g.i, g.j, g.k, g.l) for g in gens)))  # noqa: E741
+    if ((table[:, i] * table[:, j] - table[:, k] * table[:, l]) % q).any():
+        raise InvariantError("table point claims to be off the Veronese surface")
     cls = np.asarray(mvecs, dtype=np.int64)
     a_all = (cls[:, i] * cls[:, j] - cls[:, k] * cls[:, l]) % q
     if (a_all == 0).all(axis=1).any():
         raise PointOnVarietyError("batch contains a point of the surface")
     ti, tj, tk, tl = (table[:, ix].T[None] for ix in (i, j, k, l))
-    counts = np.empty(len(cls), dtype=np.int64)
+    hits = np.empty((len(cls), len(table)), dtype=bool)
     step = 2048
     for s in range(0, len(cls), step):
         e = min(s + step, len(cls))
@@ -495,22 +470,5 @@ def veronese_secant_counts(ctx: FieldCtx, mvecs) -> np.ndarray:
         i0 = (a != 0).argmax(axis=1)
         a0 = np.take_along_axis(a, i0[:, None], axis=1)
         b0 = np.take_along_axis(b, i0[:, None, None], axis=1)
-        cond = ((a0[:, :, None] * b - a[:, :, None] * b0) % q == 0).all(axis=1)
-        counts[s:e] = cond.sum(axis=1)
-    return counts
-
-
-def tangency_crosscheck(spec, ctx, p, indices, table: PointTable):
-    """Verify on selected table rows that the polar condition matches the
-    Jacobian tangent space test."""
-    base_ctx = base_of(ctx)
-    _, tangent_mask = _pair_data(spec, base_ctx, table, p)
-    for i in indices:
-        param = table.param(i)
-        if param.is_vertex():
-            continue
-        space = tangent_space(spec, ctx, param)
-        flag = space.contains(p)
-        if flag != bool(tangent_mask[i]):
-            return False
-    return True
+        hits[s:e] = ((a0[:, :, None] * b - a[:, :, None] * b0) % q == 0).all(axis=1)
+    return hits

@@ -257,40 +257,21 @@ def special_subspaces(spec: ScrollSpec, ctx: FieldCtx) -> dict:
     """Coordinate data of the distinguished subspaces.
 
     A: vertex block plus all degree-1 blocks (empty when h = -1 and k = 0);
-    S2span: the degree-2 blocks; block_index_map: coordinate ranges per class.
+    S2span: the degree-2 blocks.
     """
     nv = spec.ambient + 1
     one_cols = list(range(spec.vertex_size))
     two_cols = []
-    high_cols = []
-    one_blocks, two_blocks, high_blocks = [], [], []
-    for i, ai in enumerate(spec.a):
-        start = spec.block_starts[i]
-        cols = list(range(start, start + ai + 1))
+    for start, ai in zip(spec.block_starts, spec.a):
         if ai == 1:
-            one_cols.extend(cols)
-            one_blocks.append(i)
+            one_cols.extend(range(start, start + 2))
         elif ai == 2:
-            two_cols.extend(cols)
-            two_blocks.append(i)
-        else:
-            high_cols.extend(cols)
-            high_blocks.append(i)
+            two_cols.extend(range(start, start + 3))
 
     def coord_space(cols):
         return LinearSubspace(ctx, spec.ambient, tuple(unit_rows(nv, cols)))
 
-    return {
-        "A": coord_space(one_cols),
-        "S2span": coord_space(two_cols),
-        "block_index_map": {
-            "vertex": tuple(range(spec.vertex_size)),
-            "one_blocks": tuple(one_blocks),
-            "two_blocks": tuple(two_blocks),
-            "higher_blocks": tuple(high_blocks),
-            "block_starts": spec.block_starts,
-        },
-    }
+    return {"A": coord_space(one_cols), "S2span": coord_space(two_cols)}
 
 
 def random_scroll_point(spec: ScrollSpec, ctx: FieldCtx, rng) -> ScrollPoint:

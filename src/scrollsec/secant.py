@@ -107,7 +107,6 @@ __all__ = [
     "SecantSignature",
     "secant_pair_test",
     "fiber_secant_space",
-    "secant_cone_and_quadric",
     "classify_signature",
     "classify_with_data",
     "secant_locus_points",
@@ -158,16 +157,19 @@ class SecantSignature:
 # ---------------------------------------------------------------------------
 
 
-def pair_test_with_generators(ctx: FieldCtx, gens, p, q) -> str:
-    """Line classification for any variety cut out by quadric generators.
+def secant_pair_test(spec: ScrollSpec, ctx: FieldCtx, p, q) -> str:
+    """Classify the line through p and q: NotOnX / NotSecant / Secant / TangentContact.
 
     With A_i = Q_i(p), B_i = polar of Q_i at (p, q), C_i = Q_i(q): q must lie
-    on the variety (C identically zero), and the line meets it in length >= 2
-    exactly when the rows (A_i, B_i) are pairwise proportional.
+    on the scroll (C identically zero), and the line meets it in length >= 2
+    exactly when the rows (A_i, B_i) are pairwise proportional.  Secant and
+    TangentContact both mean q lies on the secant locus of p; TangentContact
+    means the line meets the scroll doubly at q itself.
     """
+    gens = quadric_generators(spec, ctx)
     a_vals = [g.evaluate(p) for g in gens]
     if not any(a_vals):
-        raise PointOnVarietyError("p lies on the variety")
+        raise PointOnVarietyError("p lies on the scroll")
     if not any(q):
         raise ZeroVectorError("q is the zero vector")
     if any(g.evaluate(q) for g in gens):
@@ -183,15 +185,6 @@ def pair_test_with_generators(ctx: FieldCtx, gens, p, q) -> str:
         if sub(mul(a0, b), mul(a, b0)):
             return NOT_SECANT
     return SECANT
-
-
-def secant_pair_test(spec: ScrollSpec, ctx: FieldCtx, p, q) -> str:
-    """Classify the line through p and q: NotOnX / NotSecant / Secant / TangentContact.
-
-    Secant and TangentContact both mean q lies on the secant locus of p;
-    TangentContact means the line meets the scroll doubly at q itself.
-    """
-    return pair_test_with_generators(ctx, quadric_generators(spec, ctx), p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -365,19 +358,6 @@ def _analysis(spec: ScrollSpec, ctx: FieldCtx, p: tuple):
         depth_pred=sec.pdim + 1,
     )
     return sig, sec, quadric, polar_kernel
-
-
-def secant_cone_and_quadric(spec: ScrollSpec, ctx: FieldCtx, p):
-    """Secant cone of p, the hyperquadric cutting the locus on it, and K.
-
-    Returns (sec, quadric, K): sec is a linear subspace containing p, the
-    quadric lives on sec's basis coordinates, and the zero set of the quadric
-    on sec is exactly the secant locus.  All nonzero generator restrictions to
-    sec must be pairwise proportional; a violation raises
-    UnclassifiableSignatureError rather than guessing.  K is the polar kernel
-    of the reduced point, with sec = the vertex joined with <p, K>.
-    """
-    return classify_with_data(spec, ctx, p)[1:]
 
 
 def classify_signature(spec: ScrollSpec, ctx: FieldCtx, p) -> SecantSignature:

@@ -4,6 +4,9 @@ import pytest
 
 from conftest import external_point
 from scrollsec import (
+    DimensionMismatchError,
+    EmptyTypeError,
+    InvariantError,
     ZeroMatrixError,
     classify_signature,
     depth_predict,
@@ -20,9 +23,9 @@ from scrollsec.delpezzo import (
     sample_inside_locus,
     sample_outside_locus,
     sym3_rank,
-    veronese_brute_secant_points,
     veronese_point_table,
 )
+from scrollsec.oracle import veronese_secant_masks
 from scrollsec.strata import member_secant_variety
 
 
@@ -135,6 +138,13 @@ def test_atlas_small_bounds():
     entries = atlas_enumerate(3, 2, -1)
     got = {(e.a, e.case) for e in entries}
     assert got == {((3,), "curve"), ((1, 2), "surface-cubic")}
+
+
+@pytest.mark.parametrize("bounds", [(-1, 4, 1), (2, 4, 1), (6, 0, 1), (6, 4, -2), (6, 4, -5)],
+                         ids=["max_deg", "max_deg_2", "max_n", "max_h", "max_h_far"])
+def test_atlas_bounds_that_admit_no_scroll_are_rejected(bounds):
+    with pytest.raises(EmptyTypeError):
+        atlas_enumerate(*bounds)
 
 
 def test_atlas_excludes_s123_and_s23_has_span_locus():
@@ -288,12 +298,28 @@ def test_veronese_point_table_size(f5, f7):
     assert len(veronese_point_table(f7)) == 57
 
 
+def test_veronese_rejects_a_vertex_dimension_below_minus_one(f7):
+    with pytest.raises(EmptyTypeError):
+        veronese_classify([[1, 0, 0], [0, 1, 0], [0, 0, 0]], f7, h=-3)
+
+
+@pytest.mark.parametrize("m", [
+    [[1, 2, 0], [0, 1, 0], [0, 0, 0]],
+    [[1, 0], [0, 1]],
+    [[1, 0, 0], [0, 1], [0, 0, 0]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]],
+], ids=["nonsymmetric", "2x2", "ragged", "4x3"])
+def test_veronese_rejects_a_matrix_that_is_not_symmetric_3x3(f7, m):
+    with pytest.raises(DimensionMismatchError):
+        veronese_classify(m, f7)
+
+
 def test_veronese_brute_conic_count():
     rng = random.Random(5)
     for q in (5, 7):
         ctx = field_make(q, 1)
-        found = 0
-        while found < 4:
+        mvecs = []
+        while len(mvecs) < 4:
             m = [[0] * 3 for _ in range(3)]
             for i in range(3):
                 for j in range(i, 3):
@@ -301,9 +327,20 @@ def test_veronese_brute_conic_count():
                     m[i][j] = v
                     m[j][i] = v
             if any(x for row in m for x in row) and sym3_rank(ctx, m) == 2:
-                found += 1
                 from scrollsec.delpezzo import sym3_to_vec
 
-                mvec = normalize_point(ctx, sym3_to_vec(ctx, m))
-                pts = veronese_brute_secant_points(ctx, mvec)
-                assert len(pts) == q + 1
+                mvecs.append(normalize_point(ctx, sym3_to_vec(ctx, m)))
+        hits = veronese_secant_masks(ctx, mvecs)
+        assert hits.shape == (4, len(veronese_point_table(ctx)))
+        assert (hits.sum(axis=1) == q + 1).all()
+
+
+def test_veronese_secant_masks_checks_its_input(f7, monkeypatch):
+    from scrollsec import delpezzo
+
+    with pytest.raises(DimensionMismatchError):
+        veronese_secant_masks(field_make(7, 2), [(1, 1, 0, 0, 0, 0)])
+    table = veronese_point_table(f7)
+    monkeypatch.setattr(delpezzo, "veronese_point_table", lambda ctx: table + [(1, 1, 0, 0, 0, 0)])
+    with pytest.raises(InvariantError):
+        veronese_secant_masks(f7, [(1, 1, 0, 0, 0, 0)])

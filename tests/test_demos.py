@@ -1,5 +1,6 @@
 """Every demo runs to completion against this checkout and prints exactly its
-golden output, `tests/golden/demos/<name>.txt`.
+golden output, `tests/golden/demos/<name>.txt`, and so does the README's
+Python code, whose blocks together print `tests/golden/readme.txt`.
 
 The demos are deterministic, so a golden file changes only with a deliberate
 change to what a demo shows; regenerate one with
@@ -7,6 +8,7 @@ change to what a demo shows; regenerate one with
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 GOLDEN = Path(__file__).resolve().parent / "golden" / "demos"
+README = ROOT / "README.md"
 
 
 def test_demos_are_found():
@@ -23,11 +26,11 @@ def test_demos_are_found():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == [p.stem for p in DEMOS]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(demo):
+def _stdout(argv) -> str:
+    """What a Python run against this checkout's src/ prints; it must exit 0."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, *argv],
         cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
@@ -35,4 +38,16 @@ def test_demo_runs(demo):
         timeout=600,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()
+    return result.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    assert _stdout([str(demo)]) == (GOLDEN / f"{demo.stem}.txt").read_text()
+
+
+def test_readme_code_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert blocks
+    printed = "".join(_stdout(["-c", block]) for block in blocks)
+    assert printed == (GOLDEN.parent / "readme.txt").read_text()

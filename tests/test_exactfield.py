@@ -20,7 +20,6 @@ from scrollsec import (
 )
 from scrollsec import exactfield
 from scrollsec.delpezzo import veronese_generators
-from scrollsec.exactfield import subspace_intersection
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +236,6 @@ def test_projective_points_count_normalized_distinct(q, d):
         assert len(set(pts)) == len(pts)
         for p in pts:
             assert len(p) == n and normalize_point(ctx, p) == p
-
-
-def test_subspace_intersection(f7):
-    a = span_points(f7, [(1, 0, 0, 0), (0, 1, 0, 0)], 3)
-    b = span_points(f7, [(0, 1, 0, 0), (0, 0, 1, 0)], 3)
-    meet = subspace_intersection(a, b)
-    assert meet.pdim == 0
-    assert meet.contains((0, 1, 0, 0))
 
 
 # ---------------------------------------------------------------------------

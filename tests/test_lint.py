@@ -3,10 +3,11 @@
 `assert` statements vanish under `python -O`, so an invariant written as one
 stops being checked; the program raises typed errors instead.  An unbounded
 `lru_cache(maxsize=None)` or `functools.cache` grows for the life of the
-process.  A top-level function or class that nothing uses or exports is
-dead code that only its own tests keep alive, and so is a method or property
-that nothing reaches by attribute, or a package re-export that neither the
-README, a demo nor the program names.
+process.  A top-level function or class that the program does not use and
+the README does not name as a reference is dead code that only its own tests
+keep alive, however it is exported; so is a method or property that nothing
+reaches by attribute, or a package re-export that neither the README, a demo
+nor the program names.
 """
 
 import ast
@@ -81,10 +82,21 @@ def test_every_export_exists(path):
     assert set(exports) <= set(namespace)
 
 
+def _nodes(tree):
+    """Every node of a tree except those of `__all__` assignments: exporting a
+    name is not a use of it, nor a reason to re-export it."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            continue
+        yield node
+        todo.extend(ast.iter_child_nodes(node))
+
+
 def _used_names(node, walk=ast.walk) -> Counter:
     """How often a node uses each identifier: names, attributes, imported
-    names, and strings that are identifiers (`__all__` entries, the tracer's
-    hooks by name)."""
+    names, and strings that are identifiers (the tracer's hooks by name)."""
     out = Counter()
     for sub in walk(node):
         if isinstance(sub, ast.Name):
@@ -100,9 +112,9 @@ def _used_names(node, walk=ast.walk) -> Counter:
 
 def _dead_definitions(source: str, elsewhere: set) -> list:
     """Top-level functions and classes of a module that neither another
-    top-level statement of the module nor `elsewhere` uses."""
+    top-level statement of the module outside `__all__` nor `elsewhere` uses."""
     body = ast.parse(source).body
-    uses = [_used_names(stmt) for stmt in body]
+    uses = [_used_names(stmt, _nodes) for stmt in body]
     dead = []
     for i, stmt in enumerate(body):
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -112,36 +124,48 @@ def _dead_definitions(source: str, elsewhere: set) -> list:
     return dead
 
 
+def _program_uses(source: str, package_init: bool = False) -> set:
+    """Names a program file uses outside `__all__`; the imports of the package
+    `__init__.py` only re-export, so they are no use either."""
+    tree = ast.parse(source)
+    if package_init:
+        tree.body = [stmt for stmt in tree.body if not isinstance(stmt, ast.ImportFrom)]
+    return set(_used_names(tree, _nodes))
+
+
+def _readme_references(text: str) -> set:
+    """Every identifier the README names, also as `module.name`: naming a
+    definition there declares it a reference implementation."""
+    return set(re.findall(r"[A-Za-z_]\w*", text))
+
+
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
 def test_every_definition_is_used_or_exported(path):
-    """Each top-level function and class is in `__all__` or used somewhere in
-    src/, bench/ or demos/ other than its own definition; tests do not count."""
-    elsewhere = set().union(*(_used_names(ast.parse(u.read_text())) for u in USERS if u != path))
+    """Each top-level function and class is used somewhere in src/, bench/ or
+    demos/ other than its own definition, `__all__` and the package imports,
+    or named in README.md; exporting a name is not a use, and tests do not
+    count."""
+    elsewhere = _readme_references((ROOT / "README.md").read_text()).union(
+        *(_program_uses(u.read_text(), u == SRC / "__init__.py") for u in USERS if u != path))
     assert _dead_definitions(path.read_text(), elsewhere) == []
 
 
 def test_the_dead_definition_lint_catches_unused_code():
     source = (
-        "__all__ = ['exported']\n"
+        "__all__ = ['exported', 'referenced', 'reexported']\n"
         "def exported():\n    return 1\n"
+        "def referenced():\n    return 1\n"
+        "def reexported():\n    return 1\n"
         "def helper():\n    return 2\n"
         "def recursive(n):\n    return recursive(n - 1)\n"
         "class Unused:\n    pass\n"
         "def used_by_bench():\n    return helper()\n"
     )
-    assert _dead_definitions(source, {"used_by_bench"}) == ["recursive", "Unused"]
-
-
-def _nodes(tree):
-    """Every node of a tree except those of `__all__` assignments: exporting a
-    name is not a use of a method, nor a reason to re-export it."""
-    todo = [tree]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            continue
-        yield node
-        todo.extend(ast.iter_child_nodes(node))
+    init = "from .a import exported, reexported\n__version__ = '0'\n"
+    demo = "from scrollsec.a import used_by_bench\nused_by_bench()\n"
+    elsewhere = (_readme_references("`scrollsec.a.referenced` is the reference.")
+                 | _program_uses(init, package_init=True) | _program_uses(demo))
+    assert _dead_definitions(source, elsewhere) == ["exported", "reexported", "recursive", "Unused"]
 
 
 def _member_uses(tree) -> Counter:

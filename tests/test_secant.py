@@ -16,7 +16,6 @@ from scrollsec import (
     projective_points,
     qform_rank,
     scroll_new,
-    secant_cone_and_quadric,
     secant_locus_points,
     stratum_geometric,
 )
@@ -73,7 +72,7 @@ def test_fiber_secant_space_s111_is_line(f7):
 
 def test_secant_cone_chord_case(f7, s3):
     p = (1, 0, 0, 1)
-    sec, quadric, kernel = secant_cone_and_quadric(s3, f7, p)
+    _, sec, quadric, kernel = classify_with_data(s3, f7, p)
     assert sec.pdim == 1
     assert sec.contains((1, 0, 0, 1))
     assert sec.contains((1, 0, 0, 0))
@@ -86,7 +85,7 @@ def test_secant_cone_chord_case(f7, s3):
 
 
 def test_secant_cone_tangent_case(f7, s3):
-    sec, quadric, sample = secant_cone_and_quadric(s3, f7, (0, 1, 0, 0))
+    _, sec, quadric, _ = classify_with_data(s3, f7, (0, 1, 0, 0))
     assert sec.pdim == 1
     assert sec.contains((1, 0, 0, 0))
     assert qform_rank(quadric) == 1
@@ -95,7 +94,7 @@ def test_secant_cone_tangent_case(f7, s3):
 def test_secant_cone_s111_rank2_point(f7):
     spec = scroll_new([1, 1, 1])
     p = (1, 0, 0, 1, 0, 0)
-    sec, quadric, kernel = secant_cone_and_quadric(spec, f7, p)
+    _, sec, quadric, kernel = classify_with_data(spec, f7, p)
     assert sec.pdim == 3
     assert qform_rank(quadric) == 4
     assert kernel.pdim == 2
@@ -293,7 +292,7 @@ def test_vertex_contained_in_every_fiber_space():
         spec = scroll_new(a, h)
         for _ in range(10):
             p = external_point(spec, f7, rng)
-            sec, _, _ = secant_cone_and_quadric(spec, f7, p)
+            _, sec, _, _ = classify_with_data(spec, f7, p)
             for x in projective_points(f7, 2):
                 space = fiber_secant_space(spec, f7, p, x)
                 for i in range(spec.vertex_size):
