@@ -23,6 +23,7 @@ from scrollsec.delpezzo import (
     sample_inside_locus,
     sample_outside_locus,
     sym3_rank,
+    sym3_to_vec,
     veronese_point_table,
 )
 from scrollsec.oracle import veronese_secant_masks
@@ -327,8 +328,6 @@ def test_veronese_brute_conic_count():
                     m[i][j] = v
                     m[j][i] = v
             if any(x for row in m for x in row) and sym3_rank(ctx, m) == 2:
-                from scrollsec.delpezzo import sym3_to_vec
-
                 mvecs.append(normalize_point(ctx, sym3_to_vec(ctx, m)))
         hits = veronese_secant_masks(ctx, mvecs)
         assert hits.shape == (4, len(veronese_point_table(ctx)))
