@@ -11,8 +11,9 @@ from the same cached secant analysis, and no option changes the mathematics
 
 Exit codes: 0 success/agreement, 2 unclassifiable signature data, 3 label
 disagreement, failed verification or a broken invariant (InvariantError), 64
-usage/parse errors (argparse's too, negative counts and atlas bounds that
-admit no scroll among them) and an --out file that cannot be written, 65 point on the variety, 66 over budget.
+usage/parse errors (argparse's too, negative counts or budgets and atlas
+bounds that admit no scroll among them) and an --out file that cannot be
+written, 65 point on the variety, 66 over budget.
 """
 
 from __future__ import annotations
@@ -305,8 +306,8 @@ def run_oracle_check(args) -> int:
 
 
 def at_least(low: int):
-    """argparse type of an int >= low: a number of points or samples (low 0),
-    or an atlas bound that admits the smallest scroll, S(3)."""
+    """argparse type of an int >= low: a number of points or samples or a
+    budget (low 0), or an atlas bound that admits the smallest scroll, S(3)."""
 
     def bounded(text: str) -> int:
         n = int(text)
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scroll", required=True)
     sp.add_argument("--n", type=at_least(0), default=25)
     sp.add_argument("--d", type=int, default=2, choices=(1, 2))
-    sp.add_argument("--budget", type=int, default=10**7)
+    sp.add_argument("--budget", type=at_least(0), default=10**7)
     common(sp, 7)
     sp.set_defaults(func=run_oracle_check)
     return parser

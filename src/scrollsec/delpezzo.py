@@ -25,7 +25,9 @@ one.  These equivalences are validated by brute force over small fields
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
+from . import strata
 from .errors import DimensionMismatchError, EmptyTypeError, InvariantError, ZeroMatrixError
 from .exactfield import (
     Binomial,
@@ -35,7 +37,7 @@ from .exactfield import (
     rref,
     span_points,
 )
-from .scroll import ScrollSpec, contains, scroll_literal, scroll_new
+from .scroll import ScrollSpec, contains, embed, random_scroll_point, scroll_literal, scroll_new
 from .secant import SecantSignature, _analysis, validate_point
 
 __all__ = [
@@ -182,7 +184,11 @@ def atlas_enumerate(max_deg: int, max_n: int, max_h: int) -> list:
         )
     entries = []
     for n in range(1, max_n + 1):
-        for a in _types_of_length(n, max_deg):
+        # nondecreasing degree tuples; a degree above max_deg - (n - 1) would
+        # leave the other n - 1 blocks less than degree 1 each
+        for a in combinations_with_replacement(range(1, max_deg - n + 2), n):
+            if not 3 <= sum(a) <= max_deg:
+                continue
             for h in range(-1, max_h + 1):
                 spec = scroll_new(a, h)
                 tagged = atlas_case_for(a)
@@ -207,28 +213,8 @@ def atlas_enumerate(max_deg: int, max_n: int, max_h: int) -> list:
     return entries
 
 
-def _types_of_length(n: int, max_deg: int):
-    """Nondecreasing degree tuples of length n with 3 <= sum <= max_deg."""
-    out = []
-
-    def rec(prefix, lo, left):
-        if len(prefix) == n:
-            if sum(prefix) >= 3:
-                out.append(tuple(prefix))
-            return
-        rest = n - len(prefix) - 1
-        for d in range(lo, left + 1):
-            if left - d >= rest:  # each later block needs degree >= d >= 1
-                rec(prefix + [d], d, left - d)
-
-    rec([], 1, max_deg)
-    return sorted(out)
-
-
 def locus_member(entry_kind: str, spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
     """Membership of an external point in an atlas locus."""
-    from . import strata
-
     if entry_kind == "full":
         return True
     if entry_kind == "sec":
@@ -244,8 +230,6 @@ def locus_member(entry_kind: str, spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
 
 def sample_inside_locus(entry_kind: str, spec: ScrollSpec, ctx: FieldCtx, rng):
     """A random external point inside the locus, built constructively."""
-    from .scroll import embed, random_scroll_point
-
     nv = spec.ambient + 1
     vs = spec.vertex_size
     for _ in range(1000):

@@ -492,9 +492,10 @@ def pivot_rows(ctx: FieldCtx, mats):
     subtracts multiples of it from every row, the pivot row included, so
     that the column becomes zero.  No later step reads a column again, so
     only the columns right of the pivot are updated, and the last column
-    updates nothing.  No rows are swapped, so the pivot rows of a matrix are
-    a basis of its row space among its own rows, and their number is its
-    rank.
+    updates nothing.  No rows are swapped, and a pivot only changes the rows
+    below it, so a row is picked exactly when it is not in the span of the
+    rows above it: the pivot rows of a matrix are the first basis of its row
+    space among its own rows, and their number is its rank.
     """
     import numpy as np
 

@@ -21,6 +21,12 @@ products mod q:
   first nonzero secant covector, one matrix-vector product per component,
   and the other covectors only on the rows that pass it; the brute-force
   functions asking about the same point share its masks;
+* the joins of `brute_membership` are built from grid embeddings of the
+  parameters (`scroll._embed_grid`): A is the span of the vertex and the
+  degree-1 sub-scroll, B the union over (alpha, x) of the spans of the
+  vertex, the sub-scroll line alpha and the ruling over x, and U the union
+  over beta of the spans of A and the conic beta; a union is decided by
+  batched `pivot_rows` passes with p as the last row of every matrix;
 * the lift check takes the RREF of p and the locus, first cut down to the
   pivot rows that span them when there are more rows than coordinates, and
   builds the vertex join as one array;
@@ -37,6 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
+from . import delpezzo
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -52,16 +59,8 @@ from .exactfield import (
     projective_points,
     rref,
     span_points,
-    unit_rows,
 )
-from .scroll import (
-    ScrollPoint,
-    ScrollSpec,
-    _monomials,
-    _ruling_rows,
-    embed,
-    quadric_generators,
-)
+from .scroll import ScrollSpec, _embed_grid, quadric_generators
 from .secant import (
     classify_signature,
     classify_with_data,
@@ -154,23 +153,18 @@ def _point_table(spec: ScrollSpec, ctx: FieldCtx) -> PointTable:
     import numpy as np
 
     vs, nv = spec.vertex_size, spec.ambient + 1
+    grid = _embed_grid(spec, ctx, _line_points(ctx), list(projective_points(ctx, spec.n)))
     verts = list(projective_points(ctx, vs))
-    xs = _line_points(ctx)
-    us = list(projective_points(ctx, spec.n))
-    zs = list(product(range(ctx.size), repeat=vs))
     nvert = len(verts)
-    mat = np.zeros((nvert + len(xs) * len(us) * len(zs), nv), dtype=np.int64)
-    if vs:
+    if not vs:
+        mat = grid.reshape(-1, nv)
+    else:
+        zs = list(product(range(ctx.size), repeat=vs))
+        mat = np.zeros((nvert + grid.shape[0] * grid.shape[1] * len(zs), nv), dtype=np.int64)
         mat[:nvert, :vs] = verts
-    body = mat[nvert:].reshape(len(xs), len(us), len(zs), nv)
-    if vs:
+        body = mat[nvert:].reshape(*grid.shape[:2], len(zs), nv)
         body[..., :vs] = zs
-    x_arr = np.array(xs, dtype=np.int64)
-    u_arr = np.array(us, dtype=np.int64)
-    for i, (start, ai) in enumerate(zip(spec.block_starts, spec.a)):
-        mons = np.stack(_monomials(ctx, *x_arr.T, ai), axis=1)
-        cols = ctx.mul(u_arr[None, :, i, None], mons[:, None, :])
-        body[..., start:start + ai + 1] = cols[:, :, None, :]
+        body[..., vs:] = grid[:, :, None, vs:]
     for s in range(0, len(mat), _NORMALIZE_ROWS):
         mat[s:s + _NORMALIZE_ROWS] = normalize_rows(ctx, mat[s:s + _NORMALIZE_ROWS])
 
@@ -315,68 +309,67 @@ def brute_membership(
     spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7
 ) -> MembershipReport:
     """Set memberships by exhaustive enumeration of the defining joins."""
+    import numpy as np
+
     table, (secant_mask, tangent_mask) = _masks(spec, ctx, p, budget)
-    nonvertex = table.nonvertex
-    in_sec = bool((secant_mask & nonvertex).any())
-    in_tan = bool((tangent_mask & nonvertex).any())
+    in_sec = bool((secant_mask & table.nonvertex).any())
+    in_tan = bool((tangent_mask & table.nonvertex).any())
 
-    nv = spec.ambient + 1
-    vs = spec.vertex_size
-    vertex_rows = unit_rows(nv, range(vs))
+    nv, vs, k, m, n = spec.ambient + 1, spec.vertex_size, spec.k, spec.m, spec.n
+    # A: span of the vertex and every point of the degree-1 sub-scroll (blocks < k)
+    a_rows = []
+    if vs or k:
+        xs = _line_points(ctx)
+        vertex = np.eye(vs, nv, dtype=np.int64)
+        alphas = [alpha + (0,) * (n - k) for alpha in projective_points(ctx, k)]
+        rows = np.vstack([vertex, _embed_grid(spec, ctx, xs, alphas).reshape(-1, nv)])
+        a_rows = rows[pivot_rows(ctx, rows[None])[0]].tolist()
+    a_space = span_points(ctx, a_rows, spec.ambient)
+    in_a = a_space.contains(p)
 
-    # A: span of the vertex and the enumerated degree-1 sub-scroll
-    one_blocks = [i for i, ai in enumerate(spec.a) if ai == 1]
-    sub_pts = []
-    for x in _line_points(ctx):
-        for alpha in projective_points(ctx, len(one_blocks)):
-            u = [0] * spec.n
-            for ci, i in enumerate(one_blocks):
-                u[i] = alpha[ci]
-            sub_pts.append(embed(spec, ctx, ScrollPoint(x, tuple(u), tuple([0] * vs))))
-    a_rows = vertex_rows + sub_pts
-    in_a = span_points(ctx, a_rows, spec.ambient).contains(p)
-
-    # B: union over (alpha, x) of the span of a sub-scroll line with a ruling
-    in_b = False
-    if one_blocks:
-        for alpha in projective_points(ctx, len(one_blocks)):
-            line_rows = []
-            for fib in ((1, 0), (0, 1)):
-                u = [0] * spec.n
-                for ci, i in enumerate(one_blocks):
-                    u[i] = alpha[ci]
-                line_rows.append(
-                    embed(spec, ctx, ScrollPoint(fib, tuple(u), tuple([0] * vs)))
-                )
-            for x in _line_points(ctx):
-                rows = line_rows + _ruling_rows(spec, ctx, x)
-                if span_points(ctx, rows, spec.ambient).contains(p):
-                    in_b = True
-                    break
-            if in_b:
-                break
+    # B: union over (alpha, x) of span(vertex, line alpha, ruling over x)
+    if k:
+        lines = _embed_grid(spec, ctx, [(1, 0), (0, 1)], alphas).swapaxes(0, 1)
+        rulings = _embed_grid(spec, ctx, xs, np.eye(n, dtype=np.int64))
+        in_b = _in_a_span(ctx, p, vertex, lines[:, None], rulings)
     else:
         in_b = p in table
 
-    # U: union over beta of the span of A with a conic plane
-    two_blocks = [i for i, ai in enumerate(spec.a) if ai == 2]
-    if two_blocks:
-        in_u = False
-        for beta in projective_points(ctx, len(two_blocks)):
-            plane_rows = []
-            for j in range(3):
-                row = [0] * nv
-                for ci, i in enumerate(two_blocks):
-                    row[spec.block_starts[i] + j] = beta[ci]
-                plane_rows.append(tuple(row))
-            if span_points(ctx, a_rows + plane_rows, spec.ambient).contains(p):
-                in_u = True
-                break
+    # U: union over beta of span(A, conic beta), beta on the degree-2 blocks
+    if m > k:
+        betas = [(0,) * k + beta + (0,) * (n - m) for beta in projective_points(ctx, m - k)]
+        conics = _embed_grid(spec, ctx, [(1, 0), (0, 1), (1, 1)], betas).swapaxes(0, 1)
+        in_u = _in_a_span(ctx, p, np.reshape(a_space.rows, (-1, nv)), conics)
     else:
         in_u = in_a
 
     sig = classify_signature(spec, base_of(ctx), p)
     return stratum_report(in_a, in_b, in_u, in_tan, in_sec, sig.label)
+
+
+# matrices row-reduced per pass, which bounds the temporaries of a large union
+_SPAN_BATCH = 1 << 12
+
+
+def _in_a_span(ctx: FieldCtx, p, *parts) -> bool:
+    """Whether p lies in the row span of some matrix of a batch.
+
+    The parts, arrays of rows (..., rows, N+1), broadcast over their leading
+    axes and stack along the rows, with p as the last row of every matrix;
+    `pivot_rows` picks that row exactly when p is not in the span above it.
+    """
+    import numpy as np
+
+    parts = [np.asarray(part, dtype=np.int64) for part in (*parts, [p])]
+    lead = np.broadcast_shapes(*(part.shape[:-2] for part in parts))
+    parts = [np.broadcast_to(part, lead + part.shape[-2:]) for part in parts]
+    count = int(np.prod(lead))
+    for s in range(0, count, _SPAN_BATCH):
+        idx = np.unravel_index(np.arange(s, min(s + _SPAN_BATCH, count)), lead)
+        mats = np.concatenate([part[idx] for part in parts], axis=1)
+        if not pivot_rows(ctx, mats)[:, -1].all():
+            return True
+    return False
 
 
 def check_lift_equalities(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7):
@@ -443,13 +436,11 @@ def veronese_secant_masks(ctx: FieldCtx, mvecs):
     """
     import numpy as np
 
-    from .delpezzo import veronese_generators, veronese_point_table
-
     if ctx.d != 1:
         raise DimensionMismatchError("batched Veronese scan needs a prime field")
     q = ctx.q
-    gens = veronese_generators(ctx)
-    table = np.array(veronese_point_table(ctx), dtype=np.int64)
+    gens = delpezzo.veronese_generators(ctx)
+    table = np.array(delpezzo.veronese_point_table(ctx), dtype=np.int64)
     # generator g is x_i[g] x_j[g] - x_k[g] x_l[g]
     i, j, k, l = (np.array(ix) for ix in zip(*((g.i, g.j, g.k, g.l) for g in gens)))  # noqa: E741
     if ((table[:, i] * table[:, j] - table[:, k] * table[:, l]) % q).any():

@@ -179,6 +179,20 @@ def embed(spec: ScrollSpec, ctx: FieldCtx, pt: ScrollPoint) -> tuple:
     return tuple(coords)
 
 
+def _embed_grid(spec: ScrollSpec, ctx: FieldCtx, xs, us):
+    """`embed` over a grid of parameters, vertex part zero: the packed array of
+    shape (len(xs), len(us), N+1) whose entry (j, k) is sum_i us[k][i] v_i(xs[j])."""
+    import numpy as np
+
+    x = np.asarray(xs, dtype=np.int64).reshape(-1, 2)
+    u = np.asarray(us, dtype=np.int64).reshape(-1, spec.n)
+    grid = np.zeros((len(x), len(u), spec.ambient + 1), dtype=np.int64)
+    for i, (start, ai) in enumerate(zip(spec.block_starts, spec.a)):
+        mons = np.stack(_monomials(ctx, x[:, 0], x[:, 1], ai), axis=1)
+        grid[..., start:start + ai + 1] = ctx.mul(u[None, :, i, None], mons[:, None, :])
+    return grid
+
+
 def _monomials(ctx: FieldCtx, s: int, t: int, a: int):
     """(s^a, s^(a-1) t, ..., t^a); for a >= 1, s and t may be packed arrays."""
     spow = [1]

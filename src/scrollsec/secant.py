@@ -91,7 +91,7 @@ from .exactfield import (
 from .scroll import (
     ScrollPoint,
     ScrollSpec,
-    _monomials,
+    _embed_grid,
     _ruling_rows,
     contains,
     embed,
@@ -415,7 +415,8 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
 @lru_cache(maxsize=8)
 def _ruling_monomials(spec0: ScrollSpec, ctx_x: FieldCtx):
     """Every ruling x over the field of ctx_x, and the two GF(q) components of
-    the stack of block matrices M(x), one column of monomials per block.
+    the stack of block matrices M(x), whose column i is the block vector
+    v_i(x): the grid embedding of x with the unit fibers.
 
     The fiber matrix of x, the covectors W over GF(q) applied to the block
     vectors of `_ruling_rows`, is W.M(x), so the fiber matrices of all rulings
@@ -424,11 +425,8 @@ def _ruling_monomials(spec0: ScrollSpec, ctx_x: FieldCtx):
     import numpy as np
 
     rulings = list(projective_points(ctx_x, 2))
-    x = np.array(rulings, dtype=np.int64)
-    mons = np.zeros((len(x), spec0.ambient + 1, spec0.n), dtype=np.int64)
-    for i, (start, ai) in enumerate(zip(spec0.block_starts, spec0.a)):
-        mons[:, start:start + ai + 1, i] = np.stack(_monomials(ctx_x, *x.T, ai), axis=1)
-    mon1, mon0 = np.divmod(mons, ctx_x.q)
+    mons = _embed_grid(spec0, ctx_x, rulings, np.eye(spec0.n, dtype=np.int64))
+    mon1, mon0 = np.divmod(mons.transpose(0, 2, 1), ctx_x.q)
     mon0.flags.writeable = mon1.flags.writeable = False
     return rulings, mon0, mon1
 

@@ -192,9 +192,11 @@ def test_unwritable_out_file_is_a_usage_error(capsys, tmp_path):
     ["sample", "--scroll", "S(3)", "--q", "7", "--n", "-4"],
     ["oracle-check", "--scroll", "S(3)", "--q", "5", "--n", "-1"],
     ["atlas", "--max-deg", "3", "--max-n", "1", "--max-h", "-1", "--verify-samples", "-1"],
+    ["oracle-check", "--scroll", "S(3)", "--q", "5", "--budget", "-1"],
 ])
 def test_negative_counts_are_usage_errors(capsys, argv):
-    # not an empty census (exit 0) or an atlas read as failing its checks (exit 3)
+    # not an empty census (exit 0), an atlas read as failing its checks (exit 3)
+    # or an oracle run read as over budget (exit 66)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 64

@@ -169,6 +169,43 @@ def test_normalize_rows_and_pivot_rows_match_the_scalar_versions():
         assert len(set(ranks.tolist())) >= 3
 
 
+def test_pivot_rows_picks_exactly_the_rows_outside_the_span_above():
+    """A row is picked exactly when the rank of the prefix ending in it
+    exceeds the rank of the prefix before it, on whole stacks of matrices
+    with zero and repeated rows."""
+    import numpy as np
+
+    rng = random.Random(45)
+
+    def random_row(ctx, basis, mat):
+        kind = rng.random()
+        if kind < 0.15:
+            return [0] * len(basis[0])
+        if kind < 0.3 and mat:
+            return list(rng.choice(mat))
+        row = [0] * len(basis[0])
+        for b in basis:
+            c = ctx.rand(rng)
+            row = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(row, b)]
+        return row
+
+    for q, d in ((5, 1), (7, 1), (3, 2), (5, 2)):
+        ctx = field_make(q, d)
+        for _ in range(12):
+            rows, cols = rng.randrange(1, 8), rng.randrange(1, 6)
+            stack = []
+            for _ in range(25):
+                basis = [[ctx.rand(rng) for _ in range(cols)] for _ in range(rng.randrange(1, 4))]
+                mat = []
+                for _ in range(rows):
+                    mat.append(random_row(ctx, basis, mat))
+                stack.append(mat)
+            picked = exactfield.pivot_rows(ctx, np.array(stack, dtype=np.int64))
+            for mat, got in zip(stack, picked.tolist()):
+                ranks = [exactfield.rref(ctx, mat[:j], cols)[0] for j in range(rows + 1)]
+                assert got == [ranks[j + 1] > ranks[j] for j in range(rows)]
+
+
 # ---------------------------------------------------------------------------
 # spans and membership
 # ---------------------------------------------------------------------------

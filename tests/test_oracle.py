@@ -185,7 +185,7 @@ def test_lift_equalities_on_cones():
 
 
 def test_exhaustive_sweep_whole_ambient_q3():
-    """Every external point of two whole ambient spaces over GF(3): the fast
+    """Every external point of five whole ambient spaces over GF(3): the fast
     membership report, locus point set, and lift identities must equal the
     brute oracle's, with no sampling gaps at all."""
     import itertools
@@ -194,7 +194,8 @@ def test_exhaustive_sweep_whole_ambient_q3():
     ctx2 = field_make(3, 2)
     from scrollsec import contains, stratum_geometric
 
-    for a, h in (((3,), -1), ((1, 2), -1), ((3,), 0)):
+    for a, h, exterior in (((3,), -1, 36), ((1, 2), -1, 105), ((3,), 0, 108),
+                           ((1, 2), 0, 315), ((1, 3), -1, 348)):
         spec = scroll_new(a, h)
         nv = spec.ambient + 1
         checked = 0
@@ -212,7 +213,7 @@ def test_exhaustive_sweep_whole_ambient_q3():
                 )
                 if h >= 0:
                     assert check_lift_equalities(spec, ctx2, p) == []
-        assert checked > 30
+        assert checked == exterior
 
 
 def test_tangency_matches_jacobian(f5):
