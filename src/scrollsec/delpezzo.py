@@ -38,7 +38,7 @@ from .exactfield import (
     span_points,
 )
 from .scroll import ScrollSpec, contains, embed, random_scroll_point, scroll_literal, scroll_new
-from .secant import SecantSignature, _analysis, validate_point
+from .secant import LOCUS_JUMP, SecantSignature, _analysis, validate_point
 
 __all__ = [
     "DepthReport",
@@ -177,13 +177,20 @@ def atlas_enumerate(max_deg: int, max_n: int, max_h: int) -> list:
     with the exact qualifying point locus.  Families with no such locus are
     omitted.  The locus kind derived from the generic rule must agree with the
     family pattern; a mismatch is a hard error.  Bounds that admit no scroll
-    (max_deg below 3, max_n below 1, max_h below -1) raise EmptyTypeError."""
+    (max_deg below 3, max_n below 1, max_h below -1) raise EmptyTypeError.
+
+    Only types of at most 3 blocks are walked.  A point is maximally Del
+    Pezzo when its locus jump j (locus dimension minus h) equals n, and j is
+    a value of LOCUS_JUMP, at most 3.  So no point of a type with n >= 4
+    blocks qualifies: `atlas_case_for` and `_derived_locus_kind` both return
+    None there, and such a type never has an entry.  The walk over the
+    C(max_deg, n) degree tuples therefore stops at n = min(max_n, 3)."""
     if max_deg < 3 or max_n < 1 or max_h < -1:
         raise EmptyTypeError(
             f"atlas bounds max_deg={max_deg}, max_n={max_n}, max_h={max_h} admit no scroll"
         )
     entries = []
-    for n in range(1, max_n + 1):
+    for n in range(1, min(max_n, max(LOCUS_JUMP.values())) + 1):
         # nondecreasing degree tuples; a degree above max_deg - (n - 1) would
         # leave the other n - 1 blocks less than degree 1 each
         for a in combinations_with_replacement(range(1, max_deg - n + 2), n):

@@ -59,17 +59,38 @@ __all__ = [
 ]
 
 
+# the first 13 primes; as Miller-Rabin bases they decide every n below _MR_BOUND
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; adequate for the moduli used here."""
+    """Deterministic Miller-Rabin primality test for n below 3.3 * 10^24.
+
+    Bases 2, 3, ..., 41 admit no strong pseudoprime below _MR_BOUND, so the
+    answer is exact there; a larger n raises NonPrimeError, since no answer
+    would be a proof.
+    """
+    if n >= _MR_BOUND:
+        raise NonPrimeError(f"{n} is beyond the primality bound {_MR_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -459,8 +480,8 @@ def qform_rank(form: QForm) -> int:
 #
 # The brute-force oracle and the secant-locus enumeration work on whole tables
 # of packed elements at once, with the `FieldCtx` operations applied to int64
-# numpy arrays.  The helpers below add what those lack: inverses and batched
-# elimination.  numpy is imported only where a function builds an array itself,
+# numpy arrays.  The helpers below add what those lack: inverses, discrete
+# logarithms and batched elimination.  numpy is imported only where a function builds an array itself,
 # so the classification path never loads it.
 
 
@@ -474,13 +495,54 @@ def inverse_array(ctx: FieldCtx):
     return table
 
 
-def normalize_rows(ctx: FieldCtx, mat):
-    """Scale every row of a 2-d packed array so its first nonzero entry is 1,
-    the array form of `normalize_point`; zero rows stay zero."""
+@lru_cache(maxsize=8)
+def _log_exp(ctx: FieldCtx):
+    """Read-only discrete log and exp tables of the field, for g its least
+    packed generator: log[a] = k with g^k = a for a != 0, and exp[k] = g^k.
+
+    The tables are laid out so that exp[log[a] + (-log[b] mod (size - 1))]
+    is a/b for every b != 0, and 0 for a = 0: log[0] = 2 (size - 1), and exp
+    holds g^k for k < 2 (size - 1) and zeros above.  The offset is 0 for
+    b = 0, so a zero row normalized this way stays zero.
+    """
     import numpy as np
 
+    order = ctx.size - 1
+    primes = [f for f in range(2, order + 1) if order % f == 0 and is_prime(f)]
+    g = next(g for g in range(2, ctx.size)
+             if all(_power(ctx, g, order // f) != 1 for f in primes))
+    exp = np.zeros(3 * order, dtype=np.int64)
+    x = 1
+    for k in range(order):
+        exp[k] = exp[k + order] = x
+        x = ctx.mul(x, g)
+    log = np.full(ctx.size, 2 * order, dtype=np.int64)
+    log[exp[:order]] = np.arange(order)
+    for arr in (log, exp):
+        arr.flags.writeable = False
+    return log, exp
+
+
+def _power(ctx: FieldCtx, a: int, e: int) -> int:
+    out = 1
+    while e:
+        if e & 1:
+            out = ctx.mul(out, a)
+        a, e = ctx.mul(a, a), e >> 1
+    return out
+
+
+def normalize_rows(ctx: FieldCtx, mat):
+    """Scale every row of a 2-d packed array so its first nonzero entry is 1,
+    the array form of `normalize_point`; zero rows stay zero.  Each entry is
+    divided by the lead through the discrete log tables of `_log_exp`."""
+    import numpy as np
+
+    log, exp = _log_exp(ctx)
     lead = mat[np.arange(len(mat)), (mat != 0).argmax(axis=1)]
-    return ctx.mul(mat, inverse_array(ctx)[lead][:, None])
+    idx = log[mat]
+    idx += (-log[lead] % (ctx.size - 1))[:, None]
+    return exp[idx]
 
 
 def pivot_rows(ctx: FieldCtx, mats):

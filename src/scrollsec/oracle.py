@@ -13,20 +13,27 @@ packed (`FieldCtx.mul` and its siblings take arrays) or split into their two
 GF(q) components, which turns the line tests into plain integer matrix
 products mod q:
 
-* `enumerate_points` embeds the whole parameter grid at once, normalizes the
-  rows with a table of inverses, and checks them against the closed-form
-  count, counting distinct rows by sorting them on packed integer keys; the
-  parameters of a row are rebuilt from its index on demand.
+* `enumerate_points` embeds the parameter grid a block of rows at a time,
+  normalizes each block through discrete log tables, and checks the rows
+  against the closed-form count, counting distinct rows by sorting them on
+  packed integer keys; the parameters of a row are rebuilt from its index
+  on demand.
+* a table stores each GF(q) component in one byte (the smallest unsigned
+  dtype that holds q - 1), an eighth of int64; the build writes every block
+  straight into those arrays, so no int64 matrix of the whole table exists,
+  and everything that computes with the rows upcasts them to int64 a block
+  at a time, since a product of one-byte entries would wrap silently;
 * the pair scan (`_pair_data`) tests every table row against p with the
   first nonzero secant covector, one matrix-vector product per component,
   and the other covectors only on the rows that pass it; the brute-force
   functions asking about the same point share its masks;
 * the joins of `brute_membership` are built from grid embeddings of the
-  parameters (`scroll._embed_grid`): A is the span of the vertex and the
-  degree-1 sub-scroll, B the union over (alpha, x) of the spans of the
-  vertex, the sub-scroll line alpha and the ruling over x, and U the union
-  over beta of the spans of A and the conic beta; a union is decided by
-  batched `pivot_rows` passes with p as the last row of every matrix;
+  parameters (`scroll._embed_grid`), once per (spec, field) on first use:
+  A is the span of the vertex and the degree-1 sub-scroll, B the union over
+  (alpha, x) of the spans of the vertex, the sub-scroll line alpha and the
+  ruling over x, and U the union over beta of the spans of A and the conic
+  beta; a union is decided by batched `pivot_rows` passes with p as the
+  last row of every matrix;
 * the lift check takes the RREF of p and the locus, first cut down to the
   pivot rows that span them when there are more rows than coordinates, and
   builds the vertex join as one array;
@@ -41,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import islice, product
 
 from . import delpezzo
 from .errors import (
@@ -60,7 +67,7 @@ from .exactfield import (
     rref,
     span_points,
 )
-from .scroll import ScrollSpec, _embed_grid, quadric_generators
+from .scroll import ScrollSpec, _embed_grid, _embed_rows, quadric_generators
 from .secant import (
     classify_signature,
     classify_with_data,
@@ -87,8 +94,11 @@ class PointTable:
     first, then every x of P^1 in `_line_points` order, every u of P^(n-1)
     and every affine vertex part z, the last varying fastest.  arr0 and arr1
     hold the two GF(q) components of the packed coordinates (arr1 is zero
-    over a prime field) and nonvertex flags the rows off the vertex.
-    `points`, every row as a tuple, is built on first use.
+    over a prime field), each in the smallest unsigned dtype that holds q - 1
+    (one byte for every q up to 256), and nonvertex flags the rows off the
+    vertex.  Arithmetic on the rows upcasts them to int64 a block of
+    `_NORMALIZE_ROWS` rows at a time: products of one-byte entries would
+    wrap.  `points`, every row as a tuple, is built on first use.
     """
 
     ctx: FieldCtx
@@ -103,16 +113,24 @@ class PointTable:
         """True when the projective point p is a row of the table."""
         import numpy as np
 
-        k1, k0 = divmod(np.array(normalize_point(self.ctx, p), dtype=np.int64), self.ctx.q)
-        return bool(((self.arr0 == k0) & (self.arr1 == k1)).all(axis=1).any())
+        k1, k0 = np.divmod(np.array(normalize_point(self.ctx, p), dtype=np.int64), self.ctx.q)
+        return any(((self.arr0[s:s + _NORMALIZE_ROWS] == k0)
+                    & (self.arr1[s:s + _NORMALIZE_ROWS] == k1)).all(axis=1).any()
+                   for s in range(0, len(self), _NORMALIZE_ROWS))
 
     def packed(self, which):
-        """The packed rows picked by an index array, a mask or a slice."""
-        return self.arr0[which] + self.ctx.q * self.arr1[which]
+        """The packed rows picked by an index array, a mask or a slice, as int64."""
+        import numpy as np
+
+        out = self.arr1[which].astype(np.int64)
+        out *= self.ctx.q
+        out += self.arr0[which]
+        return out
 
     @cached_property
     def points(self) -> list:
-        return [tuple(r) for r in self.packed(slice(None)).tolist()]
+        return [tuple(r) for s in range(0, len(self), _NORMALIZE_ROWS)
+                for r in self.packed(slice(s, s + _NORMALIZE_ROWS)).tolist()]
 
 
 def _expected_count(spec: ScrollSpec, size: int) -> int:
@@ -137,14 +155,18 @@ def enumerate_points(spec: ScrollSpec, ctx: FieldCtx, budget: int = 10**7) -> Po
     return _point_table(spec, ctx)
 
 
-# rows normalized per pass, which bounds the temporaries of a large build
+# rows per block of a table build or scan, which bounds the int64 temporaries
 _NORMALIZE_ROWS = 1 << 14
 
 
 @lru_cache(maxsize=8)
 def _point_table(spec: ScrollSpec, ctx: FieldCtx) -> PointTable:
-    """Embed every parameter triple at once, normalize, and check the count.
+    """Embed the parameter grid block by block, normalize, and check the count.
 
+    Each block of rows is embedded and normalized in int64 and stored
+    straight into the compact component arrays, and the packed keys of the
+    distinct count are read back from them block by block, so no int64
+    matrix of the whole table is ever built.
     The rows are the points z + sum_i u_i v_i(x) of the parameter grid, so
     the grid size is the closed-form count exactly when the embedding is
     injective; a repeated row therefore shows as a count below the closed
@@ -152,66 +174,106 @@ def _point_table(spec: ScrollSpec, ctx: FieldCtx) -> PointTable:
     """
     import numpy as np
 
-    vs, nv = spec.vertex_size, spec.ambient + 1
-    grid = _embed_grid(spec, ctx, _line_points(ctx), list(projective_points(ctx, spec.n)))
-    verts = list(projective_points(ctx, vs))
-    nvert = len(verts)
-    if not vs:
-        mat = grid.reshape(-1, nv)
-    else:
-        zs = list(product(range(ctx.size), repeat=vs))
-        mat = np.zeros((nvert + grid.shape[0] * grid.shape[1] * len(zs), nv), dtype=np.int64)
-        mat[:nvert, :vs] = verts
-        body = mat[nvert:].reshape(*grid.shape[:2], len(zs), nv)
-        body[..., :vs] = zs
-        body[..., vs:] = grid[:, :, None, vs:]
-    for s in range(0, len(mat), _NORMALIZE_ROWS):
-        mat[s:s + _NORMALIZE_ROWS] = normalize_rows(ctx, mat[s:s + _NORMALIZE_ROWS])
+    vs, nv, q = spec.vertex_size, spec.ambient + 1, ctx.q
+    nvert = (ctx.size**vs - 1) // (ctx.size - 1)
+    xs = np.array(_line_points(ctx), dtype=np.int64)
+    us = np.array(list(projective_points(ctx, spec.n)), dtype=np.int64)
+    total = nvert + len(xs) * len(us) * ctx.size**vs
+    arr0 = np.empty((total, nv), dtype=np.min_scalar_type(q - 1))
+    arr1 = np.empty_like(arr0)
+    for s, rows in _table_blocks(spec, ctx, nvert, xs, us):
+        rows = normalize_rows(ctx, rows)
+        np.remainder(rows, q, out=arr0[s:s + len(rows)], casting="unsafe")
+        np.floor_divide(rows, q, out=arr1[s:s + len(rows)], casting="unsafe")
+    nonvertex = np.ones(total, dtype=bool)
+    nonvertex[:nvert] = False
+    table = PointTable(ctx=ctx, arr0=arr0, arr1=arr1, nonvertex=nonvertex)
 
-    distinct = _distinct_rows(mat, ctx.size)
+    keys = None
+    for s in range(0, total, _NORMALIZE_ROWS):
+        block = _row_keys(table.packed(slice(s, s + _NORMALIZE_ROWS)), ctx.size)
+        if keys is None:
+            keys = np.empty((len(block), total), dtype=np.int64)
+        keys[:, s:s + _NORMALIZE_ROWS] = block
+    distinct = _distinct_rows(keys)
     expected = _expected_count(spec, ctx.size)
     if distinct != expected:
         raise InvariantError(
             f"enumerated {distinct} points, expected {expected} for {spec}"
         )
-    # split the packed entries into their GF(q) components, reusing mat
-    arr1 = mat // ctx.q
-    arr0 = np.remainder(mat, ctx.q, out=mat)
-    nonvertex = np.arange(len(mat)) >= nvert
     for arr in (arr0, arr1, nonvertex):
         arr.flags.writeable = False
-    return PointTable(ctx=ctx, arr0=arr0, arr1=arr1, nonvertex=nonvertex)
+    return table
+
+
+def _table_blocks(spec: ScrollSpec, ctx: FieldCtx, nvert: int, xs, us):
+    """The rows of the point table in order, not yet normalized, as pairs
+    (first row, int64 block) of at most `_NORMALIZE_ROWS` rows each.
+
+    After the vertex rows, body row b is the (x, u) pair b // size^(h+1),
+    x varying slowest, with the vertex part z whose base-size digits are
+    b mod size^(h+1); a block embeds only its own consecutive pairs.
+    """
+    import numpy as np
+
+    vs, nv, size = spec.vertex_size, spec.ambient + 1, ctx.size
+    verts = projective_points(ctx, vs)
+    for s in range(0, nvert, _NORMALIZE_ROWS):
+        rows = np.zeros((min(_NORMALIZE_ROWS, nvert - s), nv), dtype=np.int64)
+        rows[:, :vs] = list(islice(verts, len(rows)))
+        yield s, rows
+    nz = size**vs
+    body = len(xs) * len(us) * nz
+    for s in range(0, body, _NORMALIZE_ROWS):
+        pair, z = np.divmod(np.arange(s, min(s + _NORMALIZE_ROWS, body)), nz)
+        pairs = np.arange(pair[0], pair[-1] + 1)
+        rows = _embed_rows(spec, ctx, xs[pairs // len(us)], us[pairs % len(us)])[pair - pair[0]]
+        for j in range(vs):
+            rows[:, j] = z // size ** (vs - 1 - j) % size
+        yield nvert + s, rows
 
 
 # a packed key stays below this bound, well inside int64
 _KEY_BOUND = 1 << 62
 
 
-def _distinct_rows(mat, size: int) -> int:
-    """The number of distinct rows of a matrix with entries in [0, size).
+def _row_keys(mat, size: int):
+    """Integer keys of the rows of a matrix with entries in [0, size), shape
+    (keys, rows): two rows are equal exactly when all their keys are.
 
-    Consecutive columns are packed greedily into integer keys of radix size,
-    a new key starting whenever the next column would take the key past
-    2^62, so no key overflows int64 and a row maps to its keys injectively.
-    The rows are sorted lexicographically on their keys, the last key first
-    and each earlier one with a stable sort, and neighbours compared.
+    Consecutive columns are packed greedily into keys of radix size, a new
+    key starting whenever the next column would take the key past 2^62, so
+    no key overflows int64 and a row maps to its keys injectively.
     """
     import numpy as np
 
     keys, bound = [], _KEY_BOUND
     for col in mat.T:
         if bound * size > _KEY_BOUND:
-            keys.append(col.copy())
+            keys.append(col.astype(np.int64))
             bound = size
         else:
             keys[-1] *= size
             keys[-1] += col
             bound *= size
-    order = np.argsort(keys[-1])
-    for key in keys[-2::-1]:
-        order = order[np.argsort(key[order], kind="stable")]
-    srt = np.stack(keys)[:, order]
-    return len(mat) - int((srt[:, 1:] == srt[:, :-1]).all(axis=0).sum())
+    return np.stack(keys)
+
+
+def _distinct_rows(keys) -> int:
+    """The number of distinct rows among the key columns of `_row_keys`.
+
+    One key is sorted in place and its neighbours compared.  Several keys
+    are sorted lexicographically, the first key first, and the neighbours of
+    the sorted key columns compared.
+    """
+    import numpy as np
+
+    if len(keys) == 1:
+        key = keys[0]
+        key.sort()
+        return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
+    srt = keys[:, np.lexsort(keys[::-1])]
+    return keys.shape[1] - int((srt[:, 1:] == srt[:, :-1]).all(axis=0).sum())
 
 
 # table builds show as cache misses of enumerate_points itself
@@ -240,7 +302,10 @@ def _pair_data(spec: ScrollSpec, base_ctx: FieldCtx, table: PointTable, p):
     on the rows that passed it.  A tangent row is a secant row (all B_i = 0
     makes every A_i0 B_i - A_i B_i0 vanish), so the tangent test needs only
     the secant hits.  With no nonzero secant covector every row passes the
-    first stage.
+    first stage.  The one-byte components are upcast to int64 a block of
+    `_NORMALIZE_ROWS` rows at a time, and after the first covector only the
+    rows still in play are, so no product wraps and no int64 copy of the
+    whole table is made.
     """
     import numpy as np
 
@@ -255,21 +320,23 @@ def _pair_data(spec: ScrollSpec, base_ctx: FieldCtx, table: PointTable, p):
     secant = (a[i0] * w - a[:, None] * w[i0]) % q
     secant = secant[secant.any(axis=1)]
     comps = (table.arr0, table.arr1) if table.ctx.d == 2 else (table.arr0,)
-    if len(secant):
-        first, secant = secant[0], secant[1:]
-        rows = np.flatnonzero(comps[0] @ first % q == 0)
-        for arr in comps[1:]:
-            rows = rows[arr[rows] @ first % q == 0]
-    else:
-        rows = np.arange(len(table))
+    first, secant = (secant[0], secant[1:]) if len(secant) else (None, secant)
     rest = np.vstack([secant, w])
-    nonzero = rest @ comps[0][rows].T % q != 0
-    for arr in comps[1:]:
-        nonzero |= rest @ arr[rows].T % q != 0
     secant_mask = np.zeros(len(table), dtype=bool)
     tangent_mask = np.zeros(len(table), dtype=bool)
-    secant_mask[rows[~nonzero[:len(secant)].any(axis=0)]] = True
-    tangent_mask[rows[~nonzero.any(axis=0)]] = True
+    for s in range(0, len(table), _NORMALIZE_ROWS):
+        if first is not None:
+            block = comps[0][s:s + _NORMALIZE_ROWS].astype(np.int64)
+            rows = s + np.flatnonzero(block @ first % q == 0)
+            for arr in comps[1:]:
+                rows = rows[arr[rows].astype(np.int64) @ first % q == 0]
+        else:
+            rows = np.arange(s, min(s + _NORMALIZE_ROWS, len(table)))
+        nonzero = rest @ comps[0][rows].T.astype(np.int64) % q != 0
+        for arr in comps[1:]:
+            nonzero |= rest @ arr[rows].T.astype(np.int64) % q != 0
+        secant_mask[rows[~nonzero[:len(secant)].any(axis=0)]] = True
+        tangent_mask[rows[~nonzero.any(axis=0)]] = True
     return secant_mask, tangent_mask
 
 
@@ -309,42 +376,54 @@ def brute_membership(
     spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7
 ) -> MembershipReport:
     """Set memberships by exhaustive enumeration of the defining joins."""
-    import numpy as np
-
     table, (secant_mask, tangent_mask) = _masks(spec, ctx, p, budget)
     in_sec = bool((secant_mask & table.nonvertex).any())
     in_tan = bool((tangent_mask & table.nonvertex).any())
 
-    nv, vs, k, m, n = spec.ambient + 1, spec.vertex_size, spec.k, spec.m, spec.n
-    # A: span of the vertex and every point of the degree-1 sub-scroll (blocks < k)
-    a_rows = []
-    if vs or k:
-        xs = _line_points(ctx)
-        vertex = np.eye(vs, nv, dtype=np.int64)
-        alphas = [alpha + (0,) * (n - k) for alpha in projective_points(ctx, k)]
-        rows = np.vstack([vertex, _embed_grid(spec, ctx, xs, alphas).reshape(-1, nv)])
-        a_rows = rows[pivot_rows(ctx, rows[None])[0]].tolist()
-    a_space = span_points(ctx, a_rows, spec.ambient)
+    vertex, a_rows, a_space, lines, rulings, conics = _joins(spec, ctx)
     in_a = a_space.contains(p)
-
-    # B: union over (alpha, x) of span(vertex, line alpha, ruling over x)
-    if k:
-        lines = _embed_grid(spec, ctx, [(1, 0), (0, 1)], alphas).swapaxes(0, 1)
-        rulings = _embed_grid(spec, ctx, xs, np.eye(n, dtype=np.int64))
-        in_b = _in_a_span(ctx, p, vertex, lines[:, None], rulings)
-    else:
-        in_b = p in table
-
-    # U: union over beta of span(A, conic beta), beta on the degree-2 blocks
-    if m > k:
-        betas = [(0,) * k + beta + (0,) * (n - m) for beta in projective_points(ctx, m - k)]
-        conics = _embed_grid(spec, ctx, [(1, 0), (0, 1), (1, 1)], betas).swapaxes(0, 1)
-        in_u = _in_a_span(ctx, p, np.reshape(a_space.rows, (-1, nv)), conics)
-    else:
-        in_u = in_a
+    in_b = _in_a_span(ctx, p, vertex, lines[:, None], rulings) if spec.k else p in table
+    in_u = _in_a_span(ctx, p, a_rows, conics) if spec.m > spec.k else in_a
 
     sig = classify_signature(spec, base_of(ctx), p)
     return stratum_report(in_a, in_b, in_u, in_tan, in_sec, sig.label)
+
+
+@lru_cache(maxsize=8)
+def _joins(spec: ScrollSpec, ctx: FieldCtx):
+    """The point-independent parts of the joins of `brute_membership`, built
+    on first use for (spec, ctx): (vertex rows, A rows, A span, B lines,
+    B rulings, U conics), every array read-only.
+
+    A is the span of the vertex and every point of the degree-1 sub-scroll
+    (blocks < k); B the union over (alpha, x) of span(vertex, line alpha,
+    ruling over x); U the union over beta on the degree-2 blocks of
+    span(A, conic beta).  The B parts are None without a degree-1 block,
+    and the conics None without a degree-2 block.
+    """
+    import numpy as np
+
+    nv, vs, k, m, n = spec.ambient + 1, spec.vertex_size, spec.k, spec.m, spec.n
+    vertex = np.eye(vs, nv, dtype=np.int64)
+    a_rows = np.zeros((0, nv), dtype=np.int64)
+    lines = rulings = conics = None
+    if vs or k:
+        xs = _line_points(ctx)
+        alphas = [alpha + (0,) * (n - k) for alpha in projective_points(ctx, k)]
+        rows = np.vstack([vertex, _embed_grid(spec, ctx, xs, alphas).reshape(-1, nv)])
+        a_rows = rows[pivot_rows(ctx, rows[None])[0]]
+    a_space = span_points(ctx, a_rows.tolist(), spec.ambient)
+    a_rows = np.reshape(a_space.rows, (-1, nv)).astype(np.int64)
+    if k:
+        lines = _embed_grid(spec, ctx, [(1, 0), (0, 1)], alphas).swapaxes(0, 1)
+        rulings = _embed_grid(spec, ctx, xs, np.eye(n, dtype=np.int64))
+    if m > k:
+        betas = [(0,) * k + beta + (0,) * (n - m) for beta in projective_points(ctx, m - k)]
+        conics = _embed_grid(spec, ctx, [(1, 0), (0, 1), (1, 1)], betas).swapaxes(0, 1)
+    for arr in (vertex, a_rows, lines, rulings, conics):
+        if arr is not None:
+            arr.flags.writeable = False
+    return vertex, a_rows, a_space, lines, rulings, conics
 
 
 # matrices row-reduced per pass, which bounds the temporaries of a large union

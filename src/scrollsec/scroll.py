@@ -186,11 +186,20 @@ def _embed_grid(spec: ScrollSpec, ctx: FieldCtx, xs, us):
 
     x = np.asarray(xs, dtype=np.int64).reshape(-1, 2)
     u = np.asarray(us, dtype=np.int64).reshape(-1, spec.n)
-    grid = np.zeros((len(x), len(u), spec.ambient + 1), dtype=np.int64)
+    return _embed_rows(spec, ctx, x[:, None], u[None])
+
+
+def _embed_rows(spec: ScrollSpec, ctx: FieldCtx, x, u):
+    """`embed` of int64 parameter arrays x (..., 2) and u (..., n) that
+    broadcast against each other, vertex part zero: shape (..., N+1)."""
+    import numpy as np
+
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (spec.ambient + 1,),
+                   dtype=np.int64)
     for i, (start, ai) in enumerate(zip(spec.block_starts, spec.a)):
-        mons = np.stack(_monomials(ctx, x[:, 0], x[:, 1], ai), axis=1)
-        grid[..., start:start + ai + 1] = ctx.mul(u[None, :, i, None], mons[:, None, :])
-    return grid
+        mons = np.stack(_monomials(ctx, x[..., 0], x[..., 1], ai), axis=-1)
+        out[..., start:start + ai + 1] = ctx.mul(u[..., i, None], mons)
+    return out
 
 
 def _monomials(ctx: FieldCtx, s: int, t: int, a: int):

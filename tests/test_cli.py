@@ -226,6 +226,26 @@ def test_oracle_check_rejects_big_q(capsys):
     assert code == 64
 
 
+def test_sample_over_a_61_bit_prime(capsys):
+    """2^61 - 1 is decided by Miller-Rabin at once; classification runs on
+    plain ints, so a modulus this large is sound."""
+    code, out = run_cli(
+        capsys, "sample", "--scroll", "S(1,2)", "--n", "5", "--q", str(2**61 - 1)
+    )
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["agreement_failures"] == 0
+    assert sum(res["census"].values()) == 5
+
+
+def test_q_beyond_the_primality_bound_is_a_usage_error(capsys):
+    code, out = run_cli(
+        capsys, "sample", "--scroll", "S(1,2)", "--n", "5", "--q", str(2**89 - 1)
+    )
+    assert code == 64
+    assert out == ""
+
+
 def test_determinism_byte_identical(capsys, tmp_path):
     args = [
         "sample", "--scroll", "S(1,2)", "--n", "40", "--q", "101", "--seed", "9",

@@ -160,6 +160,32 @@ def test_atlas_dimension_bound_without_vertex():
         assert len(e.a) <= 3
 
 
+def test_atlas_walks_at_most_three_blocks(monkeypatch):
+    """No locus jump exceeds 3, so no type of 4 or more blocks is even built,
+    whatever max_n; the entries of (7, 4, 1) are those of the walk over every
+    block count, in which no 4-block type of degree at most 7 had a case."""
+    from itertools import combinations_with_replacement
+
+    from scrollsec import delpezzo
+
+    blocks = []
+    real = delpezzo.scroll_new
+    monkeypatch.setattr(delpezzo, "scroll_new",
+                        lambda a, h: blocks.append(len(a)) or real(a, h))
+    assert len(atlas_enumerate(30, 15, -1)) == 111
+    assert max(blocks) == 3
+    blocks.clear()
+    got = [(e.a, e.h) for e in atlas_enumerate(7, 4, 1)]
+    assert max(blocks) == 3
+    families = [(3,), (4,), (5,), (6,), (7,), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+                (2, 2), (2, 3), (2, 4), (2, 5), (1, 1, 1), (1, 1, 2), (1, 1, 3),
+                (1, 1, 4), (1, 1, 5)]
+    assert got == [(a, h) for a in families for h in (-1, 0, 1)]
+    four = [a for a in combinations_with_replacement(range(1, 5), 4) if sum(a) <= 7]
+    assert four and all(delpezzo.atlas_case_for(a) is None for a in four)
+    assert all(delpezzo._derived_locus_kind(real(a)) is None for a in four)
+
+
 def test_atlas_loci_sample_verification():
     from scrollsec.delpezzo import locus_fills_ambient
 

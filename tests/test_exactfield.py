@@ -52,6 +52,40 @@ def test_non_prime_rejected():
         field_make(9, 1)
 
 
+@pytest.mark.parametrize("n", [10007, 2**31 - 1, 2**61 - 1])
+def test_miller_rabin_accepts_primes(n):
+    assert exactfield.is_prime(n)
+    assert field_make(n, 1).q == n
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051],
+                         ids=["carmichael", "spsp_2_3_5_7", "spsp_to_37"])
+def test_miller_rabin_rejects_strong_pseudoprimes(n):
+    """561 is a Carmichael number, 3215031751 a strong pseudoprime to the
+    bases 2, 3, 5 and 7, and 3825123056546413051 to every prime base up to
+    37: the base 41 is what decides it."""
+    assert not exactfield.is_prime(n)
+    with pytest.raises(NonPrimeError):
+        field_make(n, 1)
+
+
+def test_primality_agrees_with_trial_division_below_5000():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(5000) if exactfield.is_prime(n)] == [
+        n for n in range(5000) if trial(n)]
+
+
+def test_moduli_beyond_the_primality_bound_are_rejected():
+    """The 13 bases decide primality only below 3.3 * 10^24, so the Mersenne
+    prime 2^89 - 1 is refused rather than answered."""
+    with pytest.raises(NonPrimeError, match="primality bound"):
+        exactfield.is_prime(2**89 - 1)
+    with pytest.raises(NonPrimeError):
+        field_make(2**89 - 1, 1)
+
+
 def test_extension_field_axioms_exhaustive_small():
     ctx = field_make(3, 2)
     for a in range(ctx.size):
@@ -167,6 +201,31 @@ def test_normalize_rows_and_pivot_rows_match_the_scalar_versions():
         ranks = exactfield.pivot_rows(ctx, np.array(stack, dtype=np.int64)).sum(axis=1)
         assert ranks.tolist() == [row_reduce(ctx, m, 3)[0] for m in stack]
         assert len(set(ranks.tolist())) >= 3
+
+
+def test_normalize_rows_matches_normalize_point_on_whole_spaces():
+    """`normalize_rows` divides through discrete log tables.  It equals the
+    row-wise `normalize_point` on every point of P^3 over GF(9) and GF(49),
+    each scaled by a seeded nonzero scalar, and on a seeded sample of
+    vectors over GF(101^2) with a third of the entries zero; zero rows stay
+    zero."""
+    import numpy as np
+
+    rng = np.random.default_rng(9)
+    for q, whole in ((3, True), (7, True), (101, False)):
+        ctx = field_make(q, 2)
+        if whole:
+            points = np.array(list(projective_points(ctx, 4)), dtype=np.int64)
+            mat = ctx.mul(points, rng.integers(1, ctx.size, size=(len(points), 1)))
+        else:
+            mat = rng.integers(0, ctx.size, size=(20000, 4))
+            mat[rng.random(mat.shape) < 1 / 3] = 0
+        mat = np.vstack([mat, np.zeros((3, 4), dtype=np.int64)])
+        got = exactfield.normalize_rows(ctx, mat).tolist()
+        want = [list(normalize_point(ctx, row)) if any(row) else row for row in mat.tolist()]
+        assert got == want, q
+        if whole:
+            assert got[:len(points)] == points.tolist()
 
 
 def test_pivot_rows_picks_exactly_the_rows_outside_the_span_above():

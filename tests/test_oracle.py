@@ -299,7 +299,7 @@ def _dense_line_masks(gens, q, table, p):
     secant = (a[i0] * w - a[:, None] * w[i0]) % q
     secant_mask = np.ones(len(table), dtype=bool)
     tangent_mask = np.ones(len(table), dtype=bool)
-    for arr in (table.arr0, table.arr1):
+    for arr in (table.arr0.astype(np.int64), table.arr1.astype(np.int64)):
         secant_mask &= (arr @ secant.T % q == 0).all(axis=1)
         tangent_mask &= (arr @ w.T % q == 0).all(axis=1)
     return secant_mask, tangent_mask
@@ -349,15 +349,72 @@ def test_filtered_pair_scan_matches_the_dense_scan(monkeypatch):
     assert points
 
 
-@pytest.mark.parametrize("size,cols,rows", [(3, 4, 60), (49, 6, 5000), (10201, 8, 3000)])
-def test_packed_key_distinct_count(size, cols, rows):
-    """`_distinct_rows` packs the columns into int64 keys, several keys when
-    one would overflow (size 10,201 with 8 columns needs two), and counts as
-    many distinct rows as numpy's row-wise unique, with duplicates planted,
-    including rows that differ from an earlier one in a single column."""
+def test_compact_tables_over_the_largest_oracle_field():
+    """The components of GF(101) and GF(101^2) tables take one byte each, and
+    a product of two of them, or 101 times one, does not fit in a byte: a
+    scan or a packing that did not upcast would wrap.  At seeded exterior
+    points of S(3) the brute locus is the fast locus over both fields, the
+    brute membership is the fast report, and `_pair_data` equals the dense
+    int64 scan."""
     import numpy as np
 
-    from scrollsec.oracle import _distinct_rows
+    from scrollsec import quadric_generators
+
+    spec, base = scroll_new([3]), field_make(101, 1)
+    gens = quadric_generators(spec, base)
+    rng = random.Random(101)
+    points = [external_point(spec, base, rng) for _ in range(10)]
+    for d in (1, 2):
+        ctx = field_make(101, d)
+        table = enumerate_points(spec, ctx)
+        assert table.arr0.dtype == table.arr1.dtype == np.uint8
+        assert table.packed(slice(None)).max() == ctx.size - 1
+        for p in points:
+            assert brute_secant_locus(spec, ctx, p) == secant_locus_points(spec, ctx, p), (d, p)
+            got, want = _pair_data(spec, base, table, p), _dense_line_masks(gens, 101, table, p)
+            assert (got[0] == want[0]).all() and (got[1] == want[1]).all(), (d, p)
+    for p in points:
+        assert brute_membership(spec, field_make(101, 2), p) == stratum_geometric(spec, base, p)
+
+
+def test_point_table_build_is_compact_and_streamed():
+    """S(1,2)+cone(0) over GF(49), 122,501 rows: the components take at most
+    two bytes per coordinate, and the build, which embeds and normalizes a
+    block of rows at a time, peaks below 6 MB of traced allocations.  Two
+    int64 component arrays alone would take 11.8 MB."""
+    import tracemalloc
+
+    spec, ctx = scroll_new([1, 2], 0), field_make(7, 2)
+    enumerate_points.cache_clear()
+    tracemalloc.start()
+    try:
+        table = enumerate_points(spec, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 122501
+    assert table.arr0.nbytes <= 2 * table.arr0.size
+    assert table.arr1.nbytes <= 2 * table.arr1.size
+    assert peak < 6 * 10**6, peak
+
+
+@pytest.mark.parametrize("size,cols,rows", [(3, 4, 60), (49, 6, 5000), (10201, 8, 3000)])
+def test_packed_key_distinct_count(size, cols, rows):
+    """`_row_keys` packs the columns into int64 keys, several keys when one
+    would overflow (size 10,201 with 8 columns needs two), and `_distinct_rows`
+    counts as many distinct rows among them as numpy's row-wise unique, with
+    duplicates planted, including rows that differ from an earlier one in a
+    single column."""
+    import numpy as np
+
+    from scrollsec.oracle import _distinct_rows, _row_keys
+
+    nkeys = 2 if size == 10201 else 1
+
+    def distinct(mat):
+        keys = _row_keys(mat, size)
+        assert keys.shape == (nkeys, len(mat))
+        return _distinct_rows(keys)
 
     rng = np.random.default_rng(size)
     for _ in range(5):
@@ -367,8 +424,8 @@ def test_packed_key_distinct_count(size, cols, rows):
         near = rng.integers(0, rows, size=(2, rows // 10))
         mat[near[0]] = mat[near[1]]
         mat[near[0], rng.integers(0, cols, size=rows // 10)] = rng.integers(0, size, size=rows // 10)
-        assert _distinct_rows(mat, size) == len(np.unique(mat, axis=0))
-    assert _distinct_rows(np.zeros((4, cols), dtype=np.int64), size) == 1
+        assert distinct(mat) == len(np.unique(mat, axis=0))
+    assert distinct(np.zeros((4, cols), dtype=np.int64)) == 1
     full = np.full((2, cols), size - 1, dtype=np.int64)
     full[1, -1] = 0
-    assert _distinct_rows(full, size) == 2
+    assert distinct(full) == 2
