@@ -481,8 +481,8 @@ def qform_rank(form: QForm) -> int:
 # The brute-force oracle and the secant-locus enumeration work on whole tables
 # of packed elements at once, with the `FieldCtx` operations applied to int64
 # numpy arrays.  The helpers below add what those lack: inverses, discrete
-# logarithms and batched elimination.  numpy is imported only where a function builds an array itself,
-# so the classification path never loads it.
+# logarithms and batched elimination.  numpy is imported only where a function
+# builds an array itself, so the classification path never loads it.
 
 
 @lru_cache(maxsize=8)

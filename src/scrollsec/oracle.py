@@ -404,16 +404,13 @@ def _joins(spec: ScrollSpec, ctx: FieldCtx):
     import numpy as np
 
     nv, vs, k, m, n = spec.ambient + 1, spec.vertex_size, spec.k, spec.m, spec.n
+    xs = _line_points(ctx)
     vertex = np.eye(vs, nv, dtype=np.int64)
-    a_rows = np.zeros((0, nv), dtype=np.int64)
-    lines = rulings = conics = None
-    if vs or k:
-        xs = _line_points(ctx)
-        alphas = [alpha + (0,) * (n - k) for alpha in projective_points(ctx, k)]
-        rows = np.vstack([vertex, _embed_grid(spec, ctx, xs, alphas).reshape(-1, nv)])
-        a_rows = rows[pivot_rows(ctx, rows[None])[0]]
-    a_space = span_points(ctx, a_rows.tolist(), spec.ambient)
+    alphas = [alpha + (0,) * (n - k) for alpha in projective_points(ctx, k)]
+    rows = np.vstack([vertex, _embed_grid(spec, ctx, xs, alphas).reshape(-1, nv)])
+    a_space = span_points(ctx, rows[pivot_rows(ctx, rows[None])[0]].tolist(), spec.ambient)
     a_rows = np.reshape(a_space.rows, (-1, nv)).astype(np.int64)
+    lines = rulings = conics = None
     if k:
         lines = _embed_grid(spec, ctx, [(1, 0), (0, 1)], alphas).swapaxes(0, 1)
         rulings = _embed_grid(spec, ctx, xs, np.eye(n, dtype=np.int64))
