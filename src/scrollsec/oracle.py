@@ -113,10 +113,14 @@ class PointTable:
         """True when the projective point p is a row of the table."""
         import numpy as np
 
-        k1, k0 = np.divmod(np.array(normalize_point(self.ctx, p), dtype=np.int64), self.ctx.q)
-        return any(((self.arr0[s:s + _NORMALIZE_ROWS] == k0)
-                    & (self.arr1[s:s + _NORMALIZE_ROWS] == k1)).all(axis=1).any()
-                   for s in range(0, len(self), _NORMALIZE_ROWS))
+        q, point = self.ctx.q, normalize_point(self.ctx, p)
+        k0 = np.array([x % q for x in point], dtype=self.arr0.dtype)
+        k1 = np.array([x // q for x in point], dtype=self.arr1.dtype)
+        for s in range(0, len(self), _NORMALIZE_ROWS):
+            if ((self.arr0[s:s + _NORMALIZE_ROWS] == k0)
+                    & (self.arr1[s:s + _NORMALIZE_ROWS] == k1)).all(axis=1).any():
+                return True
+        return False
 
     def packed(self, which):
         """The packed rows picked by an index array, a mask or a slice, as int64."""
@@ -124,7 +128,7 @@ class PointTable:
 
         out = self.arr1[which].astype(np.int64)
         out *= self.ctx.q
-        out += self.arr0[which]
+        out += self.arr0[which].astype(np.int64)
         return out
 
     @cached_property
@@ -342,16 +346,19 @@ def _pair_data(spec: ScrollSpec, base_ctx: FieldCtx, table: PointTable, p):
 
 @lru_cache(maxsize=4)
 def _line_masks(spec: ScrollSpec, ctx: FieldCtx, p: tuple):
-    """`_pair_data` of p against the table of (spec, ctx), built once for the
-    brute-force functions that all ask about the same point (read-only)."""
-    masks = _pair_data(spec, base_of(ctx), _point_table(spec, ctx), p)
-    for mask in masks:
-        mask.flags.writeable = False
-    return masks
+    """`_pair_data` of p against the table of (spec, ctx) and the packed
+    rows of its secant mask, built once for the brute-force functions that
+    all ask about the same point (read-only)."""
+    table = _point_table(spec, ctx)
+    secant_mask, tangent_mask = _pair_data(spec, base_of(ctx), table, p)
+    out = (secant_mask, tangent_mask, table.packed(secant_mask))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _masks(spec: ScrollSpec, ctx: FieldCtx, p, budget: int):
-    """The table of (spec, ctx) within the budget, and the line masks of p."""
+    """The table of (spec, ctx) within the budget, and `_line_masks` of p."""
     table = enumerate_points(spec, ctx, budget)
     return table, _line_masks(spec, ctx, tuple(p))
 
@@ -367,16 +374,15 @@ def brute_secant_locus(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7):
 
 
 def _locus_array(spec: ScrollSpec, ctx: FieldCtx, p, budget: int):
-    """`brute_secant_locus` as the packed rows of an array."""
-    table, (secant_mask, _) = _masks(spec, ctx, p, budget)
-    return table.packed(secant_mask)
+    """`brute_secant_locus` as the packed rows of a read-only array."""
+    return _masks(spec, ctx, p, budget)[1][2]
 
 
 def brute_membership(
     spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7
 ) -> MembershipReport:
     """Set memberships by exhaustive enumeration of the defining joins."""
-    table, (secant_mask, tangent_mask) = _masks(spec, ctx, p, budget)
+    table, (secant_mask, tangent_mask, _) = _masks(spec, ctx, p, budget)
     in_sec = bool((secant_mask & table.nonvertex).any())
     in_tan = bool((tangent_mask & table.nonvertex).any())
 
