@@ -26,7 +26,8 @@ products mod q:
 * the pair scan (`_pair_data`) tests every table row against p with the
   first nonzero secant covector, one matrix-vector product per component,
   and the other covectors only on the rows that pass it; the brute-force
-  functions asking about the same point share its masks;
+  functions asking about the same point share its masks and the packed rows
+  of its locus;
 * the joins of `brute_membership` are built from grid embeddings of the
   parameters (`scroll._embed_grid`), once per (spec, field) on first use:
   A is the span of the vertex and the degree-1 sub-scroll, B the union over
