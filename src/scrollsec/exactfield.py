@@ -199,11 +199,18 @@ def base_of(ctx: FieldCtx) -> FieldCtx:
 
 
 def _rref(ctx: FieldCtx, rows, cols: int):
-    """In-place-style RREF; returns (rank, echelon_rows, pivot_columns)."""
+    """In-place-style RREF; returns (rank, echelon_rows, pivot_columns).
+
+    Over a prime field every step is plain integer arithmetic with an inline
+    `% q` (`_rref_prime`); over GF(q^2) the steps go through the packed
+    `FieldCtx` operations.
+    """
     work = [list(r) for r in rows]
     for r in work:
         if len(r) != cols:
             raise DimensionMismatchError("ragged matrix")
+    if ctx.d == 1:
+        return _rref_prime(ctx, work, cols)
     mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
     pivots: list[int] = []
     rank = 0
@@ -229,6 +236,37 @@ def _rref(ctx: FieldCtx, rows, cols: int):
                 for j in range(col, cols):
                     if row[j]:
                         tgt[j] = sub(tgt[j], mul(f, row[j]))
+        pivots.append(col)
+        rank += 1
+        if rank == len(work):
+            break
+    return rank, [tuple(r) for r in work[:rank]], pivots
+
+
+def _rref_prime(ctx: FieldCtx, work: list, cols: int):
+    """`_rref` over GF(q) on a list of row lists, with plain ints mod q.
+
+    Like the packed path it touches only the columns where the pivot row is
+    nonzero, listed once per pivot."""
+    q = ctx.q
+    pivots: list[int] = []
+    rank = 0
+    for col in range(cols):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        row = work[rank]
+        pinv = ctx.inv(row[col])
+        support = [j for j in range(col, cols) if row[j]]
+        if pinv != 1:
+            for j in support:
+                row[j] = row[j] * pinv % q
+        for i, tgt in enumerate(work):
+            f = tgt[col]
+            if f and i != rank:
+                for j in support:
+                    tgt[j] = (tgt[j] - f * row[j]) % q
         pivots.append(col)
         rank += 1
         if rank == len(work):
@@ -282,6 +320,9 @@ def normalize_point(ctx: FieldCtx, v) -> tuple:
             if x == 1:
                 return tuple(v)
             s = ctx.inv(x)
+            if ctx.d == 1:
+                q = ctx.q
+                return tuple(s * y % q for y in v)
             return tuple(ctx.mul(s, y) if y else 0 for y in v)
     raise ZeroVectorError("cannot normalize the zero vector")
 
@@ -428,16 +469,27 @@ class Binomial:
     def evaluate(self, v) -> int:
         if len(v) != self.n_vars:
             raise DimensionMismatchError("vector length != n_vars")
-        mul = self.ctx.mul
-        return self.ctx.sub(mul(v[self.i], v[self.j]), mul(v[self.k], v[self.l]))
+        ctx = self.ctx
+        if ctx.d == 1:
+            return (v[self.i] * v[self.j] - v[self.k] * v[self.l]) % ctx.q
+        return ctx.sub(ctx.mul(v[self.i], v[self.j]), ctx.mul(v[self.k], v[self.l]))
 
     def polar(self, p) -> tuple:
         """The covector 2 * p^T * G, G the Gram matrix (see `QForm.polar`)."""
         if len(p) != self.n_vars:
             raise DimensionMismatchError("vector length != n_vars")
-        add, sub = self.ctx.add, self.ctx.sub
+        ctx = self.ctx
         i, j, k, l = self.i, self.j, self.k, self.l  # noqa: E741
         out = [0] * self.n_vars
+        if ctx.d == 1:
+            out[i] += p[j]
+            out[j] += p[i]
+            out[k] -= p[l]
+            out[l] -= p[k]
+            for x in (i, j, k, l):
+                out[x] %= ctx.q
+            return tuple(out)
+        add, sub = ctx.add, ctx.sub
         out[i] = add(out[i], p[j])
         out[j] = add(out[j], p[i])
         out[k] = sub(out[k], p[l])
@@ -461,6 +513,8 @@ class Binomial:
 
 
 def _dot(ctx: FieldCtx, u, v) -> int:
+    if ctx.d == 1:
+        return sum(a * b for a, b in zip(u, v)) % ctx.q
     mul, add = ctx.mul, ctx.add
     acc = 0
     for a, b in zip(u, v):
@@ -508,19 +562,36 @@ def _log_exp(ctx: FieldCtx):
     import numpy as np
 
     order = ctx.size - 1
-    primes = [f for f in range(2, order + 1) if order % f == 0 and is_prime(f)]
-    g = next(g for g in range(2, ctx.size)
+    primes = _prime_factors(order)
+    # over GF(q^2) the packed elements below q form GF(q), whose orders
+    # divide q - 1, so the least generator is at least q
+    g = next(g for g in range(2 if ctx.d == 1 else ctx.q, ctx.size)
              if all(_power(ctx, g, order // f) != 1 for f in primes))
+    # exp[m:2m] = g^m exp[:m], doubling the filled prefix each step
     exp = np.zeros(3 * order, dtype=np.int64)
-    x = 1
-    for k in range(order):
-        exp[k] = exp[k + order] = x
-        x = ctx.mul(x, g)
+    exp[0], m, gm = 1, 1, g
+    while m < order:
+        k = min(m, order - m)
+        exp[m:m + k] = ctx.mul(exp[:k], gm)
+        m, gm = m + k, ctx.mul(gm, gm)
+    exp[order:2 * order] = exp[:order]
     log = np.full(ctx.size, 2 * order, dtype=np.int64)
     log[exp[:order]] = np.arange(order)
     for arr in (log, exp):
         arr.flags.writeable = False
     return log, exp
+
+
+def _prime_factors(n: int) -> list:
+    """The distinct prime factors of n >= 1, by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
 
 
 def _power(ctx: FieldCtx, a: int, e: int) -> int:

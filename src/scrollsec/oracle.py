@@ -25,9 +25,10 @@ products mod q:
   at a time, since a product of one-byte entries would wrap silently;
 * the pair scan (`_pair_data`) tests every table row against p with the
   first nonzero secant covector, one matrix-vector product per component,
-  and the other covectors only on the rows that pass it; the brute-force
-  functions asking about the same point share its masks and the packed rows
-  of its locus;
+  and the other covectors only on the rows that pass it; the covectors of a
+  point are computed once for its scans over GF(q) and GF(q^2)
+  (`_line_covectors`), and the brute-force functions asking about the same
+  point and field share its masks and the packed rows of its locus;
 * the joins of `brute_membership` are built from grid embeddings of the
   parameters (`scroll._embed_grid`), once per (spec, field) on first use:
   A is the span of the vertex and the degree-1 sub-scroll, B the union over
@@ -35,9 +36,11 @@ products mod q:
   ruling over x, and U the union over beta of the spans of A and the conic
   beta; a union is decided by batched `pivot_rows` passes with p as the
   last row of every matrix;
-* the lift check takes the RREF of p and the locus, first cut down to the
-  pivot rows that span them when there are more rows than coordinates, and
-  builds the vertex join as one array;
+* the lift check row-reduces p and the locus when they have at most as many
+  rows as coordinates; a longer locus is reduced against the fast cone in
+  one batched pass and its rank taken on a prefix of its rows, and the
+  vertex join is built as one array and compared by distinct counts of
+  packed keys;
 * `veronese_secant_masks` line-tests a whole batch of symmetric-matrix
   points against the Veronese surface's point table at once.
 
@@ -310,23 +313,14 @@ def _pair_data(spec: ScrollSpec, base_ctx: FieldCtx, table: PointTable, p):
     first stage.  The one-byte components are upcast to int64 a block of
     `_NORMALIZE_ROWS` rows at a time, and after the first covector only the
     rows still in play are, so no product wraps and no int64 copy of the
-    whole table is made.
+    whole table is made.  The covectors come from `_line_covectors`, cached
+    per point.
     """
     import numpy as np
 
-    gens = quadric_generators(spec, base_ctx)
-    a_vals = [g.evaluate(p) for g in gens]
-    if not any(a_vals):
-        raise PointOnVarietyError("p lies on the scroll")
     q = base_ctx.q
-    w = np.array([g.polar(p) for g in gens], dtype=np.int64)
-    a = np.array(a_vals, dtype=np.int64)
-    i0 = int(np.nonzero(a)[0][0])
-    secant = (a[i0] * w - a[:, None] * w[i0]) % q
-    secant = secant[secant.any(axis=1)]
+    first, rest, n_secant = _line_covectors(quadric_generators(spec, base_ctx), tuple(p))
     comps = (table.arr0, table.arr1) if table.ctx.d == 2 else (table.arr0,)
-    first, secant = (secant[0], secant[1:]) if len(secant) else (None, secant)
-    rest = np.vstack([secant, w])
     secant_mask = np.zeros(len(table), dtype=bool)
     tangent_mask = np.zeros(len(table), dtype=bool)
     for s in range(0, len(table), _NORMALIZE_ROWS):
@@ -340,9 +334,38 @@ def _pair_data(spec: ScrollSpec, base_ctx: FieldCtx, table: PointTable, p):
         nonzero = rest @ comps[0][rows].T.astype(np.int64) % q != 0
         for arr in comps[1:]:
             nonzero |= rest @ arr[rows].T.astype(np.int64) % q != 0
-        secant_mask[rows[~nonzero[:len(secant)].any(axis=0)]] = True
+        secant_mask[rows[~nonzero[:n_secant].any(axis=0)]] = True
         tangent_mask[rows[~nonzero.any(axis=0)]] = True
     return secant_mask, tangent_mask
+
+
+@lru_cache(maxsize=16)
+def _line_covectors(gens: tuple, p: tuple):
+    """The covectors of the line test of `_pair_data` for the generators gens
+    over GF(q) at p: (first, rest, n), with first the first nonzero secant
+    covector A_i0 B_i - A_i B_i0 (None if there is none), and rest the other
+    n nonzero secant covectors stacked above the polar covectors B_i.
+
+    Cached on the generators and the point, so the scans of one point over
+    GF(q) and GF(q^2) compute them once; the arrays are read-only.
+    """
+    import numpy as np
+
+    a_vals = [g.evaluate(p) for g in gens]
+    if not any(a_vals):
+        raise PointOnVarietyError("p lies on the scroll")
+    q = gens[0].ctx.q
+    w = np.array([g.polar(p) for g in gens], dtype=np.int64)
+    a = np.array(a_vals, dtype=np.int64)
+    i0 = int(np.nonzero(a)[0][0])
+    secant = (a[i0] * w - a[:, None] * w[i0]) % q
+    secant = secant[secant.any(axis=1)]
+    first, secant = (secant[0], secant[1:]) if len(secant) else (None, secant)
+    rest = np.vstack([secant, w])
+    for arr in (first, rest):
+        if arr is not None:
+            arr.flags.writeable = False
+    return first, rest, len(secant)
 
 
 @lru_cache(maxsize=4)
@@ -462,9 +485,11 @@ def check_lift_equalities(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**
     cone: compared as the RREF of {p} + brute locus points versus the fast
     cone; (ii) the secant locus point set equals the join of the vertex with
     the base locus.  Returns a list of discrepancy strings (empty = pass).
-    The locus can have thousands of points, so more rows than coordinates
-    are first cut down to the pivot rows that span them, and the join is
-    built as one array.
+
+    At most as many rows as coordinates are row-reduced directly.  A longer
+    locus (thousands of points on a cone) is compared by `_spans_cone`, and
+    the join, built as one array, is compared with it by distinct counts of
+    packed keys.
     """
     import numpy as np
 
@@ -474,9 +499,10 @@ def check_lift_equalities(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**
     locus = _locus_array(spec, ctx, p, budget)
     vecs = np.vstack([np.array(normalize_point(ctx, p), dtype=np.int64), locus])
     if len(vecs) > nv:
-        vecs = vecs[pivot_rows(ctx, vecs[None])[0]]
-    _, brute_rows = rref(ctx, vecs.tolist(), nv)
-    if tuple(brute_rows) != tuple(sec.rows):
+        same_cone = _spans_cone(ctx, vecs, sec.rows)
+    else:
+        same_cone = tuple(rref(ctx, vecs.tolist(), nv)[1]) == tuple(sec.rows)
+    if not same_cone:
         problems.append("secant cone differs from vertex-lift of the base cone")
 
     if spec.h >= 0:
@@ -487,11 +513,49 @@ def check_lift_equalities(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**
         joined = np.zeros((len(zs), len(base_locus), nv), dtype=np.int64)
         joined[..., :vs] = zs[:, None, :]
         joined[..., vs:] = base_locus
-        pts = {tuple(r) for r in normalize_rows(ctx, joined.reshape(-1, nv)).tolist()}
-        pts.update(z + (0,) * (nv - vs) for z in projective_points(ctx, vs))
-        if pts != {tuple(r) for r in locus.tolist()}:
+        apex = np.zeros(((ctx.size**vs - 1) // (ctx.size - 1), nv), dtype=np.int64)
+        apex[:, :vs] = list(projective_points(ctx, vs))
+        join = np.vstack([normalize_rows(ctx, joined.reshape(-1, nv)), apex])
+        # two row sets are equal exactly when their union has as many
+        # distinct rows as each of them
+        keys = [_row_keys(rows, ctx.size) for rows in (join, locus)]
+        if len({_distinct_rows(k) for k in (np.hstack(keys), *keys)}) > 1:
             problems.append("secant locus differs from the vertex join of the base locus")
     return problems
+
+
+# rows of the first rank test of `_spans_cone`, widened by doubling
+_CONE_PREFIX = 64
+
+
+def _spans_cone(ctx: FieldCtx, vecs, cone_rows) -> bool:
+    """Whether the rows of the packed matrix vecs span the subspace with the
+    RREF basis cone_rows, whose entries lie in GF(q).
+
+    Every row must lie in that subspace.  With B the basis and v[piv] a row's
+    entries at the pivot columns of B, the row's residue after elimination is
+    v - v[piv] B, which is linear with coefficients in GF(q); so a row over
+    GF(q^2) lies in the span exactly when both its GF(q) components do, and
+    the residues of all rows are two integer matrix products mod q.  The
+    rows then span the subspace exactly when their rank is the length of the
+    basis; the rank is taken on a prefix of the rows, widened only while the
+    prefix falls short of that length.
+    """
+    import numpy as np
+
+    q = ctx.q
+    basis = np.array(cone_rows, dtype=np.int64).reshape(-1, vecs.shape[1])
+    pivots = (basis != 0).argmax(axis=1)
+    for comp in np.divmod(vecs, q):
+        if ((comp - comp[:, pivots] @ basis) % q).any():
+            return False
+    size = _CONE_PREFIX
+    while True:
+        if int(pivot_rows(ctx, vecs[None, :size]).sum()) == len(basis):
+            return True
+        if size >= len(vecs):
+            return False
+        size *= 2
 
 
 def ambient_zero_locus(spec: ScrollSpec, ctx: FieldCtx, budget: int = 10**7):

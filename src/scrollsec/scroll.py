@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     CodimTooSmallError,
@@ -49,43 +49,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScrollSpec:
-    """Combinatorial type of a scroll: degrees a (nondecreasing) and vertex dim h."""
+    """Combinatorial type of a scroll: degrees a (nondecreasing) and vertex dim h.
+
+    The layout attributes below are computed once per instance and kept in
+    its `__dict__` (`functools.cached_property` writes there directly, so the
+    frozen dataclass allows it); equality and hashing read a and h alone.
+    """
 
     a: tuple
     h: int
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.a)
 
-    @property
+    @cached_property
     def deg(self) -> int:
         return sum(self.a)
 
-    @property
+    @cached_property
     def ambient(self) -> int:
         """Projective dimension N of the ambient space."""
         return self.deg + self.n + self.h
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.n + self.h + 1
 
-    @property
+    @cached_property
     def k(self) -> int:
         """Number of degree-1 blocks."""
         return sum(1 for x in self.a if x == 1)
 
-    @property
+    @cached_property
     def m(self) -> int:
         """Index of the last block of degree <= 2."""
         return sum(1 for x in self.a if x <= 2)
 
-    @property
+    @cached_property
     def vertex_size(self) -> int:
         return self.h + 1
 
-    @property
+    @cached_property
     def block_starts(self) -> tuple:
         starts = []
         pos = self.h + 1

@@ -89,12 +89,10 @@ from .exactfield import (
     unit_rows,
 )
 from .scroll import (
-    ScrollPoint,
     ScrollSpec,
     _embed_grid,
     _ruling_rows,
     contains,
-    embed,
     quadric_generators,
 )
 
@@ -200,38 +198,45 @@ def reduced_point(spec: ScrollSpec, p):
     return pbar
 
 
-def _secant_covectors(spec0: ScrollSpec, ctx: FieldCtx, pbar):
+@lru_cache(maxsize=16)
+def _secant_covectors(gens: tuple, pbar: tuple) -> tuple:
     """Row covectors of the linear system cutting the secant locus on each ruling.
 
     Row i (for i != pivot) is A_i0 * 2 p G_i - A_i * 2 p G_i0, a linear form on
-    the ambient space of the smooth scroll.
+    the ambient space of the smooth scroll, whose generators are gens.  Cached
+    on the generators and the reduced point, so the GF(q) and GF(q^2)
+    enumerations of one point share one computation; the rows are tuples.
     """
-    gens = quadric_generators(spec0, ctx)
+    ctx = gens[0].ctx
     a_vals = [g.evaluate(pbar) for g in gens]
     if not any(a_vals):
         raise PointOnVarietyError("p lies on the scroll")
     i0 = next(i for i, a in enumerate(a_vals) if a)
     twop = [g.polar(pbar) for g in gens]
-    a0 = a_vals[i0]
-    rows = []
-    nv = spec0.ambient + 1
-    for i in range(len(gens)):
-        if i == i0:
-            continue
-        ai = a_vals[i]
-        row = tuple(
-            ctx.sub(ctx.mul(a0, twop[i][j]), ctx.mul(ai, twop[i0][j]))
-            for j in range(nv)
-        )
-        rows.append(row)
-    return rows
+    a0, w0 = a_vals[i0], twop[i0]
+    mul, sub = ctx.mul, ctx.sub
+    return tuple(
+        tuple(sub(mul(a0, x), mul(ai, y)) for x, y in zip(wi, w0))
+        for i, (ai, wi) in enumerate(zip(a_vals, twop)) if i != i0
+    )
 
 
-def _fiber_kernel_vectors(spec0: ScrollSpec, ctx_x: FieldCtx, fiber, x):
-    """Ambient vectors spanning the ruling cut at x (may be empty), from the
-    fiber matrix at x: the secant covectors applied to the block vectors."""
-    _, _, kernel = row_reduce(ctx_x, fiber, spec0.n)
-    return [embed(spec0, ctx_x, ScrollPoint(x, u, ())) for u in kernel]
+def _fiber_kernel_vectors(ctx_x: FieldCtx, fiber, blocks) -> list:
+    """Ambient vectors spanning the ruling cut at x (may be empty): the kernel
+    vectors u of the fiber matrix at x, the secant covectors applied to the
+    n block vectors v_i(x), combined as sum_i u_i v_i(x).
+
+    blocks are those block vectors, from the caller: `_ruling_rows` of the
+    smooth scroll, or a row of the cached `_ruling_monomials` stack.  A zero
+    fiber matrix, the only kind with a nonzero kernel when n = 1, has the
+    unit vectors as its echelonized kernel, so it cuts out the block vectors
+    themselves.
+    """
+    if not any(map(any, fiber)):
+        return [tuple(v) for v in blocks]
+    _, _, kernel = row_reduce(ctx_x, fiber, len(blocks))
+    cols = list(zip(*blocks))
+    return [tuple(_dot(ctx_x, u, col) for col in cols) for u in kernel]
 
 
 def _lift_rows(spec: ScrollSpec, base_rows):
@@ -259,10 +264,10 @@ def fiber_secant_space(spec: ScrollSpec, ctx: FieldCtx, p, x) -> LinearSubspace:
         raise ZeroVectorError("ruling needs (s,t) != (0,0)")
     spec0 = spec.base()
     pbar = reduced_point(spec, p)
-    covectors = _secant_covectors(spec0, ctx, pbar)
+    covectors = _secant_covectors(quadric_generators(spec0, ctx), pbar)
     blocks = _ruling_rows(spec0, ctx, x)
     fiber = [[_dot(ctx, w, v) for v in blocks] for w in covectors]
-    vecs = _fiber_kernel_vectors(spec0, ctx, fiber, x)
+    vecs = _fiber_kernel_vectors(ctx, fiber, blocks)
     rows = _lift_rows(spec, vecs)
     if not rows:
         return LinearSubspace(ctx, spec.ambient, ())
@@ -370,13 +375,25 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
 
     Exhaustive over the rulings of that field: still the fiber-linear fast
     path, used for set-level comparison against the brute-force oracle.  The
-    covectors lie over GF(q), so the fiber matrices of all rulings come from
-    two integer matrix products, one per GF(q^2) component
-    (`_ruling_monomials`), and one batched rank test finds the rulings with a
-    nonzero cut.  Only those go through `_fiber_kernel_vectors`, with their
-    matrices from the batch.  The cuts are grouped by size, and the points
-    of each group come from one combination of its RREF rows with the
-    cached coefficients of `_coefficient_array`.
+    covectors lie over GF(q) and are cached per point (`_secant_covectors`),
+    so the GF(q) and GF(q^2) enumerations of a point compute them once.  The
+    fiber matrices of all rulings come from two integer matrix products, one
+    per GF(q^2) component (`_ruling_monomials`), and one batched rank test
+    finds the rulings with a nonzero cut.  Only those go through
+    `_fiber_kernel_vectors`, with their matrices and their block vectors from
+    the cached stacks, so no ruling point is embedded one at a time.
+
+    The lifted rows of a cut are already in RREF, so no elimination runs on
+    them.  The kernel rows u are in RREF (`row_reduce` echelonizes its
+    kernel), and every ruling of the stack is normalized, (1:t) or (0:1), so
+    the first nonzero entry of each block vector v_i(x) is 1.  Row r,
+    sum_i u_i v_i(x), is zero on the blocks before the pivot i_r of u_r and
+    has a 1 at the first nonzero entry of v_(i_r)(x), where every other row
+    is zero, since it is zero on the whole block i_r; the blocks come in
+    coordinate order, so the pivots increase with r.  The vertex unit rows
+    come first and the block rows are zero on the vertex.  The cuts are
+    grouped by size, and the points of each group come from one combination
+    of its RREF rows with the cached coefficients of `_coefficient_array`.
     """
     import numpy as np
 
@@ -385,12 +402,13 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     base_ctx = base_of(ctx_d)
     if contains(spec, base_ctx, p):
         raise PointOnVarietyError("p lies on the scroll")
-    covectors = _secant_covectors(spec0, base_ctx, pbar)
+    covectors = _secant_covectors(quadric_generators(spec0, base_ctx), pbar)
     size = ctx_d.size
     est = (size + 1) * max(1, size ** (spec.dim - 1))
     if est > budget:
         raise BudgetExceededError(f"enumeration of size ~{est} exceeds budget {budget}")
-    rulings, mon0, mon1 = _ruling_monomials(spec0, ctx_d)
+    blocks, mon0, mon1 = _ruling_monomials(spec0, ctx_d)
+    nv = spec.ambient + 1
     w = np.array(covectors, dtype=np.int64).reshape(-1, spec0.ambient + 1)
     q = ctx_d.q
     fibers = (w @ mon0) % q + q * ((w @ mon1) % q)
@@ -398,9 +416,8 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     if spec.vertex_size:
         by_size[spec.vertex_size] = [_lift_rows(spec, ())]
     for i in np.nonzero(pivot_rows(ctx_d, fibers).sum(axis=1) < spec0.n)[0]:
-        vecs = _fiber_kernel_vectors(spec0, ctx_d, fibers[i].tolist(), rulings[i])
-        rank, rows = rref(ctx_d, _lift_rows(spec, vecs), spec.ambient + 1)
-        by_size.setdefault(rank, []).append(rows)
+        rows = _lift_rows(spec, _fiber_kernel_vectors(ctx_d, fibers[i].tolist(), blocks[i].tolist()))
+        by_size.setdefault(len(rows), []).append(rows)
     pts = set()
     for k, spans in by_size.items():
         coeffs = _coefficient_array(ctx_d, k)
@@ -408,27 +425,30 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
         combos = ctx_d.mul(coeffs[:, 0, None], rows[:, None, 0])
         for j in range(1, k):
             combos = ctx_d.add(combos, ctx_d.mul(coeffs[:, j, None], rows[:, None, j]))
-        pts.update(map(tuple, combos.reshape(-1, spec.ambient + 1).tolist()))
+        pts.update(map(tuple, combos.reshape(-1, nv).tolist()))
     return pts
 
 
 @lru_cache(maxsize=8)
 def _ruling_monomials(spec0: ScrollSpec, ctx_x: FieldCtx):
-    """Every ruling x over the field of ctx_x, and the two GF(q) components of
-    the stack of block matrices M(x), whose column i is the block vector
-    v_i(x): the grid embedding of x with the unit fibers.
+    """The packed block vectors of every ruling x over the field of ctx_x, and
+    the two GF(q) components of the stack of block matrices M(x), whose
+    column i is the block vector v_i(x): the grid embedding of the rulings,
+    in `projective_points` order, with the unit fibers.  All three arrays
+    are read-only.
 
     The fiber matrix of x, the covectors W over GF(q) applied to the block
-    vectors of `_ruling_rows`, is W.M(x), so the fiber matrices of all rulings
-    are two integer matrix products with these stacks.
+    vectors, is W.M(x), so the fiber matrices of all rulings are two integer
+    matrix products with these stacks.
     """
     import numpy as np
 
     rulings = list(projective_points(ctx_x, 2))
     mons = _embed_grid(spec0, ctx_x, rulings, np.eye(spec0.n, dtype=np.int64))
     mon1, mon0 = np.divmod(mons.transpose(0, 2, 1), ctx_x.q)
-    mon0.flags.writeable = mon1.flags.writeable = False
-    return rulings, mon0, mon1
+    for arr in (mons, mon0, mon1):
+        arr.flags.writeable = False
+    return mons, mon0, mon1
 
 
 @lru_cache(maxsize=16)
@@ -439,7 +459,8 @@ def _coefficient_array(ctx: FieldCtx, k: int):
     As coefficient vectors on k RREF rows they give every point of the span
     once and normalized: the first nonzero coefficient is 1 and falls on the
     first row used, whose pivot entry is 1 and lies left of every later row's
-    nonzero entries.
+    nonzero entries.  `secant_locus_points` applies them to the RREF rows of
+    a whole group of same-size ruling cuts in one broadcast product.
     """
     import numpy as np
 

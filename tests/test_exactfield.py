@@ -526,3 +526,68 @@ def test_binomial_rejects_wrong_lengths(f7):
         QForm(f7, 2, ((0, 4), (4, 0))).polar((1,))
     with pytest.raises(DimensionMismatchError):
         b.restrict(span_points(f7, [(1, 0, 0)], 2))
+
+
+def test_prime_field_kernels_match_the_packed_path():
+    """Over GF(q) `_rref`, `row_reduce`, `Binomial.evaluate` and `polar`,
+    `_dot` and `normalize_point` run on plain ints mod q.  GF(q) sits inside
+    GF(q^2) with the same packing, and an RREF is unique and does not change
+    under field extension, so on GF(q) inputs every result must equal the
+    packed GF(q^2) path's: seeded matrices with zero and repeated rows, the
+    generators of S(1,1,2) and seeded vectors over four primes."""
+    rng = random.Random(31)
+    spec = parse_scroll("S(1,1,2)")
+    for q in (3, 7, 101, 10007):
+        ctx, ext = field_make(q, 1), field_make(q, 2)
+        for _ in range(60):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+            mat = [[rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(cols)]
+                   for _ in range(rows)]
+            mat += [mat[0], [0] * cols]
+            assert exactfield._rref(ctx, mat, cols) == exactfield._rref(ext, mat, cols), (q, mat)
+            assert row_reduce(ctx, mat, cols) == row_reduce(ext, mat, cols), (q, mat)
+        pairs = zip(quadric_generators(spec, ctx), quadric_generators(spec, ext))
+        vecs = [tuple(rng.randrange(q) for _ in range(spec.ambient + 1)) for _ in range(40)]
+        for g, g_ext in pairs:
+            for v in vecs:
+                assert g.evaluate(v) == g_ext.evaluate(v)
+                assert g.polar(v) == g_ext.polar(v)
+        for u, v in zip(vecs, vecs[1:]):
+            assert exactfield._dot(ctx, u, v) == exactfield._dot(ext, u, v)
+            if any(u):
+                assert normalize_point(ctx, u) == normalize_point(ext, u)
+
+
+def test_log_exp_tables_are_powers_of_the_least_generator():
+    """`_log_exp` builds exp by doubling and searches GF(q^2) for its
+    generator from q upward.  On GF(q) and GF(q^2) for q in {3, 5, 7, 11},
+    g is the least packed element of order size - 1 (found here by scalar
+    powers from 2 upward), exp[k] = g^k for k < 2 (size - 1) with zeros
+    above, and log inverts exp with log[0] = 2 (size - 1).  Over GF(101^2)
+    exp runs through every nonzero element once and g is not in GF(101)."""
+    for q, d in [(q, d) for q in (3, 5, 7, 11) for d in (1, 2)] + [(101, 2)]:
+        ctx = field_make(q, d)
+        order = ctx.size - 1
+        log, exp = exactfield._log_exp(ctx)
+        g = int(exp[1])
+        assert sorted(exp[:order].tolist()) == list(range(1, ctx.size))
+        assert exp[order:2 * order].tolist() == exp[:order].tolist()
+        assert not exp[2 * order:].any()
+        assert log[0] == 2 * order
+        assert log[exp[:order]].tolist() == list(range(order))
+        if d == 2:
+            assert g >= q
+        if ctx.size > 200:
+            continue
+        x = 1
+        for k in range(order):
+            assert exp[k] == x, (q, d, k)
+            x = ctx.mul(x, g)
+
+        def element_order(a):
+            k, x = 1, a
+            while x != 1:
+                k, x = k + 1, ctx.mul(x, a)
+            return k
+
+        assert g == next(a for a in range(2, ctx.size) if element_order(a) == order), (q, d)

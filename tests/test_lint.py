@@ -3,7 +3,9 @@
 `assert` statements vanish under `python -O`, so an invariant written as one
 stops being checked; the program raises typed errors instead.  An unbounded
 `lru_cache(maxsize=None)` or `functools.cache` grows for the life of the
-process.  A top-level function or class that the program does not use and
+process.  An `lru_cache` anywhere but on a module-level function escapes the
+benchmark, which empties before each round only the caches it finds among
+module globals, so its hits would carry over from round to round.  A top-level function or class that the program does not use and
 the README does not name as a reference is dead code that only its own tests
 keep alive, however it is exported; so is a method or property that nothing
 reaches by attribute, or a package re-export that neither the README, a demo
@@ -29,8 +31,12 @@ def _name(node):
 
 
 def _problems(source: str) -> list:
+    tree = ast.parse(source)
+    # the decorators of module-level functions, the one place for an lru_cache
+    allowed = {id(sub) for stmt in tree.body if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+               for dec in stmt.decorator_list for sub in ast.walk(dec)}
     out = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             out.append(f"line {node.lineno}: assert statement")
         elif isinstance(node, ast.Call) and _name(node.func) == "lru_cache":
@@ -43,6 +49,9 @@ def _problems(source: str) -> list:
         elif (isinstance(node, ast.Attribute) and node.attr == "cache"
               and _name(node.value) == "functools"):
             out.append(f"line {node.lineno}: functools.cache")
+        if (isinstance(node, (ast.Name, ast.Attribute)) and _name(node) == "lru_cache"
+                and id(node) not in allowed):
+            out.append(f"line {node.lineno}: lru_cache off a module-level function")
     return out
 
 
@@ -63,8 +72,24 @@ def test_the_lint_catches_each_rule():
         "g = functools.lru_cache(None)(f)\n"
         "h = functools.cache(f)\n"
     )
-    assert len(_problems(bad)) == 5
+    assert len(_problems(bad)) == 6
     assert _problems("from functools import lru_cache\n@lru_cache(maxsize=8)\ndef f(x):\n    return x\n") == []
+    # the benchmark empties only the caches it finds among module globals
+    off_module = (
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "class A:\n"
+        "    @lru_cache(maxsize=8)\n"
+        "    def method(self, x):\n"
+        "        return x\n"
+        "def outer():\n"
+        "    @functools.lru_cache(maxsize=8)\n"
+        "    def inner(x):\n"
+        "        return x\n"
+        "    return inner\n"
+        "wrapped = lru_cache(maxsize=8)(outer)\n"
+    )
+    assert _problems(off_module) == [f"line {n}: lru_cache off a module-level function" for n in (4, 8, 12)]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)

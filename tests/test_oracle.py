@@ -184,6 +184,69 @@ def test_lift_equalities_on_cones():
             assert check_lift_equalities(spec, f25, p) == []
 
 
+def test_lift_check_reports_a_wrong_cone_and_a_wrong_join(monkeypatch):
+    """Both lift identities stay exact checks.  A fast cone one row too
+    small, one row too large, or as large but another subspace is reported
+    on a census point of S(3), whose locus has at most as many rows as
+    coordinates, and on a point of S(1,2)+cone(0) over GF(49), whose locus
+    has thousands and goes through the batched reduction and the rank test
+    on a prefix, here widened from one row; a locus with one row missing,
+    or with one row swapped for a point outside it, is reported as
+    differing from the vertex join."""
+    import numpy as np
+
+    from scrollsec import LinearSubspace, contains, oracle, rref
+
+    f7, f49 = field_make(7, 1), field_make(7, 2)
+    s3, cone = scroll_new([3]), scroll_new([1, 2], 0)
+    p3 = next(p for p in projective_points(f7, 4) if not contains(s3, f7, p))
+    pc = (1, 0, 1, 1, 0, 0)
+    assert len(oracle._locus_array(s3, f49, p3, 10**7)) + 1 <= s3.ambient + 1
+    assert len(oracle._locus_array(cone, f49, pc, 10**7)) > 1000
+    assert check_lift_equalities(s3, f49, p3) == check_lift_equalities(cone, f49, pc) == []
+    # a one-row first prefix makes the rank test widen before it succeeds
+    monkeypatch.setattr(oracle, "_CONE_PREFIX", 1)
+    assert check_lift_equalities(cone, f49, pc) == []
+    real_analysis = oracle.classify_with_data
+    cone_msg = "secant cone differs from vertex-lift of the base cone"
+
+    def with_cone(change):
+        def analysis(spec, ctx, p):
+            sig, sec, quadric, kernel = real_analysis(spec, ctx, p)
+            return sig, LinearSubspace(ctx, sec.ambient, change(sec)), quadric, kernel
+        return analysis
+
+    def extra_row(sec, keep):
+        nv = sec.ambient + 1
+        extra = next(e for e in np.eye(nv, dtype=int).tolist() if not sec.contains(e))
+        return tuple(rref(sec.ctx, list(sec.rows[:keep]) + [extra], nv)[1])
+
+    # smaller, larger, and as large but another subspace (only the
+    # containment test sees that one)
+    for change in (lambda sec: sec.rows[:-1], lambda sec: extra_row(sec, len(sec.rows)),
+                   lambda sec: extra_row(sec, -1)):
+        monkeypatch.setattr(oracle, "classify_with_data", with_cone(change))
+        for spec, p in ((s3, p3), (cone, pc)):
+            assert check_lift_equalities(spec, f49, p) == [cone_msg], (spec, p)
+    monkeypatch.setattr(oracle, "classify_with_data", real_analysis)
+
+    real_locus = oracle._locus_array
+    join_msg = "secant locus differs from the vertex join of the base locus"
+    locus = real_locus(cone, f49, pc, 10**7)
+    outside = next(e for e in np.eye(6, dtype=np.int64) if not (locus == e).all(axis=1).any())
+    # one row missing; one row swapped for a point outside, same count
+    for wrong in (locus[:-1], np.vstack([locus[:-1], outside])):
+        monkeypatch.setattr(oracle, "_locus_array",
+                            lambda spec, ctx, p, budget, wrong=wrong: wrong
+                            if spec.h >= 0 else real_locus(spec, ctx, p, budget))
+        assert join_msg in check_lift_equalities(cone, f49, pc)
+
+    # (1 : w) over GF(49), packed (1, 7), has its GF(7) part (1, 0) on the
+    # line spanned by (1, 0) but is not on it: both parts are checked
+    assert oracle._spans_cone(f49, np.array([[1, 0], [3, 0]]), ((1, 0),))
+    assert not oracle._spans_cone(f49, np.array([[1, 7]]), ((1, 0),))
+
+
 def test_exhaustive_sweep_whole_ambient_q3():
     """Every external point of five whole ambient spaces over GF(3): the fast
     membership report, locus point set, and lift identities must equal the

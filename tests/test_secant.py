@@ -353,22 +353,24 @@ def _subspace_point_set(space):
 def test_secant_locus_points_is_the_union_of_ruling_cuts():
     """The batched ruling scan of `secant_locus_points` finds exactly the
     points of the per-ruling cuts `fiber_secant_space`: every exterior point
-    of S(3) over GF(5) and GF(25), seeded points of S(1,2)+cone(0) and
-    S(2,2) over GF(3^2), and a TwoLines point of S(1,2)+cone(0) over GF(49),
-    where one ruling is cut in a plane and the others in lines, so that one
-    call enumerates cuts of two sizes."""
+    of S(3) over GF(5) and GF(25), seeded points of S(1,2)+cone(0), S(2,2)
+    and S(1,1,2) over GF(3^2), and a TwoLines point of S(1,2)+cone(0) over
+    GF(49), where one ruling is cut in a plane and the others in lines, so
+    that one call enumerates cuts of two sizes.  With n = 3 blocks, S(1,1,2)
+    has cuts whose fiber matrices have 2-dimensional kernels, so the cached
+    block vectors are combined with more than one kernel vector."""
     cases = []
     s3, f5 = scroll_new([3]), field_make(5, 1)
     exterior = [p for p in projective_points(f5, 4) if not contains(s3, f5, p)]
     assert len(exterior) == 150
     cases += [(s3, 5, d, p) for d in (1, 2) for p in exterior]
     f3 = field_make(3, 1)
-    for a, h in (([1, 2], 0), ([2, 2], -1)):
+    for a, h in (([1, 2], 0), ([2, 2], -1), ([1, 1, 2], -1)):
         spec = scroll_new(a, h)
         rng = random.Random(17)
         cases += [(spec, 3, 2, external_point(spec, f3, rng)) for _ in range(20)]
     cases.append((scroll_new([1, 2], 0), 7, 2, (1, 0, 1, 1, 0, 0)))
-    nonempty = mixed = 0
+    nonempty = mixed = wide = 0
     for spec, q, d, p in cases:
         ctx_d = field_make(q, d)
         union = set()
@@ -380,8 +382,11 @@ def test_secant_locus_points_is_the_union_of_ruling_cuts():
         assert secant_locus_points(spec, ctx_d, p) == union, (spec, d, p)
         nonempty += bool(union)
         mixed += len(cut_dims - {spec.h}) > 1
+        # a cut of the smooth S(1,1,2) is the span of its kernel vectors
+        wide += spec.a == (1, 1, 2) and max(cut_dims) >= 1
     assert nonempty > len(cases) // 2
     assert mixed
+    assert wide
 
 
 def test_one_polar_solve_per_point(monkeypatch, f7):
@@ -413,6 +418,37 @@ def test_one_polar_solve_per_point(monkeypatch, f7):
     project(spec, f7, p)
     assert calls == ["row_reduce", "rref"]
     assert secant._analysis.cache_info().misses == 1
+
+
+def test_one_covector_computation_per_point_and_field(monkeypatch):
+    """The GF(q) and GF(q^2) enumerations of one point share its covectors:
+    after `secant_locus_points` and `brute_secant_locus` over both fields,
+    the fast side's and the brute side's covector caches each report exactly
+    one miss, and no ruling point is embedded one at a time."""
+    from scrollsec import brute_secant_locus, oracle, scroll, secant
+
+    spec, f7 = scroll_new([1, 2], 0), field_make(7, 1)
+    p = external_point(spec, f7, random.Random(5))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real_embed(*args)
+
+    real_embed = scroll.embed
+    for module in (scroll, secant):
+        if hasattr(module, "embed"):
+            monkeypatch.setattr(module, "embed", counted)
+    secant._secant_covectors.cache_clear()
+    oracle._line_covectors.cache_clear()
+    for d in (1, 2):
+        ctx_d = field_make(7, d)
+        assert secant_locus_points(spec, ctx_d, p) == brute_secant_locus(spec, ctx_d, p)
+    assert secant._secant_covectors.cache_info().misses == 1
+    assert oracle._line_covectors.cache_info().misses == 1
+    assert secant._secant_covectors.cache_info().hits >= 1
+    assert oracle._line_covectors.cache_info().hits >= 1
+    assert calls == []
 
 
 def test_analysis_refuses_non_proportional_generator_restrictions(monkeypatch, f7):
