@@ -382,8 +382,9 @@ def test_secant_locus_points_is_the_union_of_ruling_cuts():
         assert secant_locus_points(spec, ctx_d, p) == union, (spec, d, p)
         nonempty += bool(union)
         mixed += len(cut_dims - {spec.h}) > 1
-        # a cut of the smooth S(1,1,2) is the span of its kernel vectors
-        wide += spec.a == (1, 1, 2) and max(cut_dims) >= 1
+        # a line cut of the smooth S(1,1,2): a rank-1 fiber matrix, not the
+        # zero matrix of a whole ruling, with a 2-dimensional kernel
+        wide += spec.a == (1, 1, 2) and 1 in cut_dims
     assert nonempty > len(cases) // 2
     assert mixed
     assert wide
