@@ -72,6 +72,16 @@ def _coords_str(p) -> list:
     return [str(x) for x in p]
 
 
+# example points named per side of a secant-locus-set diff of oracle-check
+DIFF_EXAMPLES = 3
+
+
+def _examples(points) -> list:
+    """The first `DIFF_EXAMPLES` of a set of points in sorted order, as
+    coordinate strings."""
+    return [_coords_str(p) for p in sorted(points)[:DIFF_EXAMPLES]]
+
+
 def _parse_point(text: str, ctx):
     try:
         vals = [int(x) for x in text.split(",")]
@@ -267,6 +277,8 @@ def run_oracle_check(args) -> int:
                         "kind": "secant-locus-set",
                         "brute_size": len(brute),
                         "fast_size": len(fast),
+                        "brute_only": _examples(brute - fast),
+                        "fast_only": _examples(fast - brute),
                     }
                 )
             if d == 2:

@@ -14,8 +14,11 @@ only; `inverse_array` is its lookup table for arrays.
 
 Matrices are lists (or tuples) of equal-length coordinate tuples.  Projective
 linear subspaces are kept in reduced row-echelon form, which makes subspace
-equality literal tuple equality.  Everything here is immutable after
-construction and safe to share across threads.
+equality literal tuple equality.  The row reduction behind them runs on plain
+ints with an inline `% q`, not through `FieldCtx`: over GF(q) on the entries,
+over GF(q^2) on the two GF(q) components of each entry, split once per call.
+Everything here is immutable after construction and safe to share across
+threads.
 
 Quadratic forms come in two shapes.  The generators of the scrolls and of the
 Veronese surface are binomials x_i*x_j - x_k*x_l (`Binomial`), evaluated,
@@ -201,9 +204,9 @@ def base_of(ctx: FieldCtx) -> FieldCtx:
 def _rref(ctx: FieldCtx, rows, cols: int):
     """In-place-style RREF; returns (rank, echelon_rows, pivot_columns).
 
-    Over a prime field every step is plain integer arithmetic with an inline
-    `% q` (`_rref_prime`); over GF(q^2) the steps go through the packed
-    `FieldCtx` operations.
+    Every step is plain integer arithmetic with an inline `% q`: over a
+    prime field on the entries themselves (`_rref_prime`), over GF(q^2) on
+    their two GF(q) components, split once (`_rref_ext`).
     """
     work = [list(r) for r in rows]
     for r in work:
@@ -211,43 +214,14 @@ def _rref(ctx: FieldCtx, rows, cols: int):
             raise DimensionMismatchError("ragged matrix")
     if ctx.d == 1:
         return _rref_prime(ctx, work, cols)
-    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
-    pivots: list[int] = []
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        row = work[rank]
-        pinv = inv(row[col])
-        if pinv != 1:
-            for j in range(col, cols):
-                if row[j]:
-                    row[j] = mul(row[j], pinv)
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                tgt = work[i]
-                for j in range(col, cols):
-                    if row[j]:
-                        tgt[j] = sub(tgt[j], mul(f, row[j]))
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    return rank, [tuple(r) for r in work[:rank]], pivots
+    return _rref_ext(ctx, work, cols)
 
 
 def _rref_prime(ctx: FieldCtx, work: list, cols: int):
     """`_rref` over GF(q) on a list of row lists, with plain ints mod q.
 
-    Like the packed path it touches only the columns where the pivot row is
-    nonzero, listed once per pivot."""
+    It touches only the columns where the pivot row is nonzero, listed once
+    per pivot."""
     q = ctx.q
     pivots: list[int] = []
     rank = 0
@@ -272,6 +246,53 @@ def _rref_prime(ctx: FieldCtx, work: list, cols: int):
         if rank == len(work):
             break
     return rank, [tuple(r) for r in work[:rank]], pivots
+
+
+def _rref_ext(ctx: FieldCtx, work: list, cols: int):
+    """`_rref` over GF(q^2) on a list of row lists of packed elements.
+
+    Each entry a0 + q*a1 is split once into its GF(q) components a0 and a1,
+    kept as two parallel lists of rows, and the elimination runs on them in
+    plain ints mod q, with (a0 + a1 w)(b0 + b1 w) = a0 b0 + c a1 b1 +
+    (a0 b1 + a1 b0) w for w^2 = c.  Like `_rref_prime` it touches only the
+    columns where the pivot row is nonzero.  The echelon rows are packed
+    again at the end."""
+    q, c = ctx.q, ctx.c
+    lo = [[x % q for x in r] for r in work]
+    hi = [[x // q for x in r] for r in work]
+    pivots: list[int] = []
+    rank = 0
+    for col in range(cols):
+        piv = next((i for i in range(rank, len(work)) if lo[i][col] or hi[i][col]), None)
+        if piv is None:
+            continue
+        lo[rank], lo[piv] = lo[piv], lo[rank]
+        hi[rank], hi[piv] = hi[piv], hi[rank]
+        row0, row1 = lo[rank], hi[rank]
+        support = [j for j in range(col, cols) if row0[j] or row1[j]]
+        p0, p1 = row0[col], row1[col]
+        if p1 or p0 != 1:
+            # 1 / (p0 + p1 w) = (p0 - p1 w) / (p0^2 - c p1^2)
+            ninv = pow((p0 * p0 - c * p1 * p1) % q, q - 2, q)
+            i0, i1 = p0 * ninv % q, -p1 * ninv % q
+            for j in support:
+                x0, x1 = row0[j], row1[j]
+                row0[j] = (x0 * i0 + c * x1 * i1) % q
+                row1[j] = (x0 * i1 + x1 * i0) % q
+        for i, (t0, t1) in enumerate(zip(lo, hi)):
+            f0, f1 = t0[col], t1[col]
+            if (f0 or f1) and i != rank:
+                cf1 = c * f1
+                for j in support:
+                    x0, x1 = row0[j], row1[j]
+                    t0[j] = (t0[j] - f0 * x0 - cf1 * x1) % q
+                    t1[j] = (t1[j] - f0 * x1 - f1 * x0) % q
+        pivots.append(col)
+        rank += 1
+        if rank == len(work):
+            break
+    echelon = [tuple(a + q * b for a, b in zip(lo[i], hi[i])) for i in range(rank)]
+    return rank, echelon, pivots
 
 
 def rref(ctx: FieldCtx, rows, cols: int):
@@ -628,22 +649,27 @@ def pivot_rows(ctx: FieldCtx, mats):
     updates nothing.  No rows are swapped, and a pivot only changes the rows
     below it, so a row is picked exactly when it is not in the span of the
     rows above it: the pivot rows of a matrix are the first basis of its row
-    space among its own rows, and their number is its rank.
+    space among its own rows, and their number is its rank.  The stack is
+    copied, and the inverse table looked up, only once a column right of a
+    pivot remains to be updated, so a single-column rank test (the fiber
+    matrices of a scroll with one block) does neither.
     """
     import numpy as np
 
-    work = mats.copy()
-    picked = np.zeros(work.shape[:2], dtype=bool)
-    inv = inverse_array(ctx)
-    for col in range(work.shape[2]):
+    cols = mats.shape[2]
+    work, inv = mats, None
+    picked = np.zeros(mats.shape[:2], dtype=bool)
+    for col in range(cols):
         nonzero = work[:, :, col] != 0
         batch = np.nonzero(nonzero.any(axis=1))[0]
         if not len(batch):
             continue
         rows = nonzero[batch].argmax(axis=1)
         picked[batch, rows] = True
-        if col + 1 == work.shape[2]:
+        if col + 1 == cols:
             break
+        if inv is None:
+            work, inv = mats.copy(), inverse_array(ctx)
         sub = work[batch, :, col:]
         piv = sub[np.arange(len(batch)), rows]
         piv = ctx.mul(piv[:, 1:], inv[piv[:, 0]][:, None])

@@ -22,13 +22,16 @@ products mod q:
   dtype that holds q - 1), an eighth of int64; the build writes every block
   straight into those arrays, so no int64 matrix of the whole table exists,
   and everything that computes with the rows upcasts them to int64 a block
-  at a time, since a product of one-byte entries would wrap silently;
+  at a time, since a product of one-byte entries would wrap silently; over
+  a prime field the second component is zero, and reading packed rows or
+  looking a point up touches only the first;
 * the pair scan (`_pair_data`) tests every table row against p with the
   first nonzero secant covector, one matrix-vector product per component,
   and the other covectors only on the rows that pass it; the covectors of a
-  point are computed once for its scans over GF(q) and GF(q^2)
-  (`_line_covectors`), and the brute-force functions asking about the same
-  point and field share its masks and the packed rows of its locus;
+  point are computed once for its scans over GF(q) and GF(q^2), with plain
+  ints mod q (`_line_covectors`), and the brute-force functions asking
+  about the same point and field share its masks and the packed rows of
+  its locus;
 * the joins of `brute_membership` are built from grid embeddings of the
   parameters (`scroll._embed_grid`), once per (spec, field) on first use:
   A is the span of the vertex and the degree-1 sub-scroll, B the union over
@@ -98,11 +101,12 @@ class PointTable:
     first, then every x of P^1 in `_line_points` order, every u of P^(n-1)
     and every affine vertex part z, the last varying fastest.  arr0 and arr1
     hold the two GF(q) components of the packed coordinates (arr1 is zero
-    over a prime field), each in the smallest unsigned dtype that holds q - 1
-    (one byte for every q up to 256), and nonvertex flags the rows off the
-    vertex.  Arithmetic on the rows upcasts them to int64 a block of
-    `_NORMALIZE_ROWS` rows at a time: products of one-byte entries would
-    wrap.  `points`, every row as a tuple, is built on first use.
+    over a prime field, and then read by nothing), each in the smallest
+    unsigned dtype that holds q - 1 (one byte for every q up to 256), and
+    nonvertex flags the rows off the vertex.  Arithmetic on the rows upcasts
+    them to int64 a block of `_NORMALIZE_ROWS` rows at a time: products of
+    one-byte entries would wrap.  `points`, every row as a tuple, is built
+    on first use.
     """
 
     ctx: FieldCtx
@@ -119,20 +123,27 @@ class PointTable:
 
         q, point = self.ctx.q, normalize_point(self.ctx, p)
         k0 = np.array([x % q for x in point], dtype=self.arr0.dtype)
-        k1 = np.array([x // q for x in point], dtype=self.arr1.dtype)
+        k1 = np.array([x // q for x in point], dtype=self.arr1.dtype) if self.ctx.d == 2 else None
         for s in range(0, len(self), _NORMALIZE_ROWS):
-            if ((self.arr0[s:s + _NORMALIZE_ROWS] == k0)
-                    & (self.arr1[s:s + _NORMALIZE_ROWS] == k1)).all(axis=1).any():
+            hit = self.arr0[s:s + _NORMALIZE_ROWS] == k0
+            if k1 is not None:
+                hit &= self.arr1[s:s + _NORMALIZE_ROWS] == k1
+            if hit.all(axis=1).any():
                 return True
         return False
 
     def packed(self, which):
-        """The packed rows picked by an index array, a mask or a slice, as int64."""
+        """The packed rows picked by an index array, a mask or a slice, as int64.
+
+        Over a prime field these are the rows of arr0; over GF(q^2) arr0 is
+        added into the scaled arr1 rows in place."""
         import numpy as np
 
+        if self.ctx.d == 1:
+            return self.arr0[which].astype(np.int64)
         out = self.arr1[which].astype(np.int64)
         out *= self.ctx.q
-        out += self.arr0[which].astype(np.int64)
+        out += self.arr0[which]
         return out
 
     @cached_property
@@ -347,7 +358,9 @@ def _line_covectors(gens: tuple, p: tuple):
     n nonzero secant covectors stacked above the polar covectors B_i.
 
     Cached on the generators and the point, so the scans of one point over
-    GF(q) and GF(q^2) compute them once; the arrays are read-only.
+    GF(q) and GF(q^2) compute them once.  The covectors are computed with
+    plain ints mod q, like `secant._secant_covectors`, and each returned
+    array is built once from them; the arrays are read-only.
     """
     import numpy as np
 
@@ -355,13 +368,13 @@ def _line_covectors(gens: tuple, p: tuple):
     if not any(a_vals):
         raise PointOnVarietyError("p lies on the scroll")
     q = gens[0].ctx.q
-    w = np.array([g.polar(p) for g in gens], dtype=np.int64)
-    a = np.array(a_vals, dtype=np.int64)
-    i0 = int(np.nonzero(a)[0][0])
-    secant = (a[i0] * w - a[:, None] * w[i0]) % q
-    secant = secant[secant.any(axis=1)]
-    first, secant = (secant[0], secant[1:]) if len(secant) else (None, secant)
-    rest = np.vstack([secant, w])
+    w = [g.polar(p) for g in gens]
+    i0 = next(i for i, a in enumerate(a_vals) if a)
+    a0, w0 = a_vals[i0], w[i0]
+    secant = [row for row in ([(a0 * x - ai * y) % q for x, y in zip(wi, w0)]
+                              for ai, wi in zip(a_vals, w)) if any(row)]
+    first = np.array(secant.pop(0), dtype=np.int64) if secant else None
+    rest = np.array(secant + w, dtype=np.int64)
     for arr in (first, rest):
         if arr is not None:
             arr.flags.writeable = False

@@ -100,8 +100,15 @@ class ScrollSpec:
         return tuple(starts)
 
     def base(self) -> "ScrollSpec":
-        """The smooth scroll this one is a cone over (itself when smooth)."""
-        return self if self.h == -1 else ScrollSpec(self.a, -1)
+        """The smooth scroll this one is a cone over (itself when smooth).
+
+        A cone returns the same instance on every call, so the layout of
+        the smooth scroll is computed once per spec."""
+        return self if self.h == -1 else self._smooth
+
+    @cached_property
+    def _smooth(self) -> "ScrollSpec":
+        return ScrollSpec(self.a, -1)
 
 
 def scroll_new(a, h: int = -1) -> ScrollSpec:

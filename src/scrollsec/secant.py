@@ -203,8 +203,11 @@ def _secant_covectors(gens: tuple, pbar: tuple) -> tuple:
     """Row covectors of the linear system cutting the secant locus on each ruling.
 
     Row i (for i != pivot) is A_i0 * 2 p G_i - A_i * 2 p G_i0, a linear form on
-    the ambient space of the smooth scroll, whose generators are gens.  Cached
-    on the generators and the reduced point, so the GF(q) and GF(q^2)
+    the ambient space of the smooth scroll, whose generators are gens.  Over
+    GF(q), the field of the generators `secant_locus_points` passes, the rows
+    are plain ints mod q; `fiber_secant_space` passes the generators over the
+    field of its ruling, which may hold p, and takes the packed operations.
+    Cached on the generators and the reduced point, so the GF(q) and GF(q^2)
     enumerations of one point share one computation; the rows are tuples.
     """
     ctx = gens[0].ctx
@@ -214,6 +217,12 @@ def _secant_covectors(gens: tuple, pbar: tuple) -> tuple:
     i0 = next(i for i, a in enumerate(a_vals) if a)
     twop = [g.polar(pbar) for g in gens]
     a0, w0 = a_vals[i0], twop[i0]
+    if ctx.d == 1:
+        q = ctx.q
+        return tuple(
+            tuple((a0 * x - ai * y) % q for x, y in zip(wi, w0))
+            for i, (ai, wi) in enumerate(zip(a_vals, twop)) if i != i0
+        )
     mul, sub = ctx.mul, ctx.sub
     return tuple(
         tuple(sub(mul(a0, x), mul(ai, y)) for x, y in zip(wi, w0))
@@ -377,9 +386,10 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     path, used for set-level comparison against the brute-force oracle.  The
     covectors lie over GF(q) and are cached per point (`_secant_covectors`),
     so the GF(q) and GF(q^2) enumerations of a point compute them once.  The
-    fiber matrices of all rulings come from two integer matrix products, one
-    per GF(q^2) component (`_ruling_monomials`), and one batched rank test
-    finds the rulings with a nonzero cut.  Only those go through
+    fiber matrices of all rulings come from integer matrix products, one per
+    GF(q) component of the ruling stack (`_ruling_monomials`; over a prime
+    field the second component is zero and skipped), and one batched rank
+    test finds the rulings with a nonzero cut.  Only those go through
     `_fiber_kernel_vectors`, with their matrices and their block vectors from
     the cached stacks, so no ruling point is embedded one at a time.
 
@@ -394,6 +404,11 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     come first and the block rows are zero on the vertex.  The cuts are
     grouped by size, and the points of each group come from one combination
     of its RREF rows with the cached coefficients of `_coefficient_array`.
+    The first coefficient of every combination is 0 or 1, so its term is a
+    plain integer product; only the later terms take packed field products.
+    On a smooth scroll with n = 1 every cut is one point, so an enumeration
+    makes no packed array product at all (the single-column rank test of
+    `pivot_rows` needs none either).
     """
     import numpy as np
 
@@ -411,7 +426,9 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     nv = spec.ambient + 1
     w = np.array(covectors, dtype=np.int64).reshape(-1, spec0.ambient + 1)
     q = ctx_d.q
-    fibers = (w @ mon0) % q + q * ((w @ mon1) % q)
+    fibers = w @ mon0 % q
+    if mon1 is not None:
+        fibers += q * (w @ mon1 % q)
     by_size = {}
     if spec.vertex_size:
         by_size[spec.vertex_size] = [_lift_rows(spec, ())]
@@ -422,7 +439,8 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     for k, spans in by_size.items():
         coeffs = _coefficient_array(ctx_d, k)
         rows = np.array(spans, dtype=np.int64)
-        combos = ctx_d.mul(coeffs[:, 0, None], rows[:, None, 0])
+        # the first coefficient is 0 or 1, so its terms are plain products
+        combos = coeffs[:, 0, None] * rows[:, None, 0]
         for j in range(1, k):
             combos = ctx_d.add(combos, ctx_d.mul(coeffs[:, j, None], rows[:, None, j]))
         pts.update(map(tuple, combos.reshape(-1, nv).tolist()))
@@ -432,22 +450,27 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
 @lru_cache(maxsize=8)
 def _ruling_monomials(spec0: ScrollSpec, ctx_x: FieldCtx):
     """The packed block vectors of every ruling x over the field of ctx_x, and
-    the two GF(q) components of the stack of block matrices M(x), whose
-    column i is the block vector v_i(x): the grid embedding of the rulings,
-    in `projective_points` order, with the unit fibers.  All three arrays
-    are read-only.
+    the GF(q) components of the stack of block matrices M(x), whose column i
+    is the block vector v_i(x): the grid embedding of the rulings, in
+    `projective_points` order, with the unit fibers.  Returns (mons, mon0,
+    mon1), every array read-only; over a prime field the second component
+    is zero and mon1 is None.
 
     The fiber matrix of x, the covectors W over GF(q) applied to the block
-    vectors, is W.M(x), so the fiber matrices of all rulings are two integer
-    matrix products with these stacks.
+    vectors, is W.M(x), so the fiber matrices of all rulings are one integer
+    matrix product with these stacks per component.
     """
     import numpy as np
 
     rulings = list(projective_points(ctx_x, 2))
     mons = _embed_grid(spec0, ctx_x, rulings, np.eye(spec0.n, dtype=np.int64))
-    mon1, mon0 = np.divmod(mons.transpose(0, 2, 1), ctx_x.q)
+    if ctx_x.d == 1:
+        mon0, mon1 = np.ascontiguousarray(mons.transpose(0, 2, 1)), None
+    else:
+        mon1, mon0 = np.divmod(mons.transpose(0, 2, 1), ctx_x.q)
     for arr in (mons, mon0, mon1):
-        arr.flags.writeable = False
+        if arr is not None:
+            arr.flags.writeable = False
     return mons, mon0, mon1
 
 
@@ -459,8 +482,10 @@ def _coefficient_array(ctx: FieldCtx, k: int):
     As coefficient vectors on k RREF rows they give every point of the span
     once and normalized: the first nonzero coefficient is 1 and falls on the
     first row used, whose pivot entry is 1 and lies left of every later row's
-    nonzero entries.  `secant_locus_points` applies them to the RREF rows of
-    a whole group of same-size ruling cuts in one broadcast product.
+    nonzero entries.  In particular the first coefficient, column 0, is 0 or
+    1, so `secant_locus_points`, which applies them to the RREF rows of a
+    whole group of same-size ruling cuts in one broadcast product, forms its
+    first term as a plain integer product.
     """
     import numpy as np
 

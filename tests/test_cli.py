@@ -160,6 +160,36 @@ def test_oracle_check_cone(capsys):
     assert json.loads(out)["result"]["diffs"] == []
 
 
+def test_oracle_check_names_the_points_of_a_locus_diff(capsys, monkeypatch):
+    """A fast locus that misses one point makes `oracle-check` exit 3 with a
+    secant-locus-set diff that names the missing point among its brute-only
+    examples, sorted and at most 3 a side."""
+    from scrollsec import cli
+
+    dropped = []
+
+    def lossy(*args):
+        points = real(*args)
+        if points:
+            dropped.append(min(points))
+            points = points - {min(points)}
+        return points
+
+    real = cli.secant_locus_points
+    monkeypatch.setattr(cli, "secant_locus_points", lossy)
+    code, out = run_cli(
+        capsys, "oracle-check", "--scroll", "S(3)", "--q", "5", "--n", "3", "--seed", "1"
+    )
+    assert code == 3
+    locus_diffs = [d for d in json.loads(out)["result"]["diffs"] if d["kind"] == "secant-locus-set"]
+    assert dropped and len(locus_diffs) == len(dropped)
+    for diff, point in zip(locus_diffs, dropped):
+        assert diff["brute_size"] == diff["fast_size"] + 1
+        assert diff["brute_only"] == [[str(x) for x in point]]
+        assert diff["fast_only"] == []
+    assert cli._examples({(3, 0), (1, 2), (2, 0), (1, 1)}) == [["1", "1"], ["1", "2"], ["2", "0"]]
+
+
 def test_unknown_option_is_a_usage_error(capsys):
     # argparse would exit 2, the code of an unclassifiable signature
     code = main(["classify", "--scroll", "S(3)", "--point", "1,4,4,1", "--q", "7",

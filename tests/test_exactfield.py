@@ -533,9 +533,15 @@ def test_prime_field_kernels_match_the_packed_path():
     `_dot` and `normalize_point` run on plain ints mod q.  GF(q) sits inside
     GF(q^2) with the same packing, and an RREF is unique and does not change
     under field extension, so on GF(q) inputs every result must equal the
-    packed GF(q^2) path's: seeded matrices with zero and repeated rows, the
-    generators of S(1,1,2) and seeded vectors over four primes."""
+    GF(q^2) path's: seeded matrices with zero and repeated rows, the
+    generators of S(1,1,2) and seeded vectors over four primes.
+
+    The GF(q^2) `_rref` runs on plain ints too, on the two GF(q) components
+    of each entry, so it is checked on its own on matrices with entries
+    outside GF(q) (`_check_ext_rref`)."""
     rng = random.Random(31)
+    for q in (3, 7, 101):
+        _check_ext_rref(field_make(q, 2), rng)
     spec = parse_scroll("S(1,1,2)")
     for q in (3, 7, 101, 10007):
         ctx, ext = field_make(q, 1), field_make(q, 2)
@@ -556,6 +562,41 @@ def test_prime_field_kernels_match_the_packed_path():
             assert exactfield._dot(ctx, u, v) == exactfield._dot(ext, u, v)
             if any(u):
                 assert normalize_point(ctx, u) == normalize_point(ext, u)
+
+
+def _check_ext_rref(ext, rng):
+    """Seeded matrices over GF(q^2) with entries >= q, zero rows, repeated
+    rows and sums of rows: the echelon rows of `_rref` are in RREF, every
+    input row reduces to zero against them (`LinearSubspace.reduce`, packed
+    `FieldCtx` arithmetic), the rank is the pivot count of the batched
+    `pivot_rows`, and the matrix annihilates every kernel row of
+    `row_reduce`."""
+    import numpy as np
+
+    q, seen_ext = ext.q, 0
+    for _ in range(80):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        mat = [[rng.randrange(ext.size) if rng.random() < 0.7 else 0 for _ in range(cols)]
+               for _ in range(rows)]
+        mat += [mat[0], [0] * cols, [ext.add(a, b) for a, b in zip(mat[0], mat[-1])]]
+        rng.shuffle(mat)
+        seen_ext += any(x >= q for row in mat for x in row)
+        rank, echelon, pivots = exactfield._rref(ext, mat, cols)
+        assert rank == len(echelon) == len(pivots)
+        assert pivots == sorted(set(pivots))
+        for i, (row, pc) in enumerate(zip(echelon, pivots)):
+            assert all(x == 0 for x in row[:pc]) and row[pc] == 1
+            assert all(other[pc] == 0 for k, other in enumerate(echelon) if k != i)
+        space = LinearSubspace(ext, cols - 1, tuple(echelon))
+        assert all(not any(space.reduce(row)) for row in mat), (q, mat)
+        picked = exactfield.pivot_rows(ext, np.array(mat, dtype=np.int64)[None])
+        assert int(picked.sum()) == rank, (q, mat)
+        r2, ech2, kernel = row_reduce(ext, mat, cols)
+        assert (r2, ech2) == (rank, echelon)
+        assert len(kernel) == cols - rank
+        for v in kernel:
+            assert all(exactfield._dot(ext, row, v) == 0 for row in mat), (q, mat, v)
+    assert seen_ext > 70
 
 
 def test_log_exp_tables_are_powers_of_the_least_generator():

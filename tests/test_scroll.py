@@ -42,6 +42,17 @@ def test_scroll_new_cone_over_cubic():
     assert spec.vertex_size == 1
 
 
+def test_base_of_a_cone_is_one_cached_instance():
+    """A cone's `base()` is the smooth scroll of its type, the same instance
+    on every call, so its layout is computed once; a smooth spec is its own
+    base."""
+    cone = scroll_new([1, 2], 1)
+    base = cone.base()
+    assert base == scroll_new([1, 2]) and base.h == -1
+    assert cone.base() is base
+    assert base.base() is base
+
+
 def test_scroll_new_rejects_small_degree():
     with pytest.raises(CodimTooSmallError):
         scroll_new([1, 1])

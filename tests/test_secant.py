@@ -452,6 +452,39 @@ def test_one_covector_computation_per_point_and_field(monkeypatch):
     assert calls == []
 
 
+def test_one_point_cuts_take_no_packed_array_products(monkeypatch, f7, s3):
+    """On the twisted cubic every ruling is a point, so a TwoPoints locus
+    over GF(7^2) is two one-point cuts: with the ruling stack cached, its
+    enumeration makes no `FieldCtx.mul` call on arrays (the first span
+    coefficient is 0 or 1, the single-column rank test needs no inverses).
+    Over GF(7) the ruling stack keeps no second GF(q) component."""
+    import numpy as np
+
+    from scrollsec import secant
+    from scrollsec.exactfield import FieldCtx
+
+    f49 = field_make(7, 2)
+    p = (1, 0, 0, 1)
+    assert classify_signature(s3, f7, p).label == "TwoPoints"
+    expected = {(1, 0, 0, 0), (0, 0, 0, 1)}
+    assert secant_locus_points(s3, f49, p) == expected
+    real_mul = FieldCtx.mul
+    array_calls = []
+
+    def counted(self, a, b):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            array_calls.append(self)
+        return real_mul(self, a, b)
+
+    monkeypatch.setattr(FieldCtx, "mul", counted)
+    assert secant_locus_points(s3, f49, p) == expected
+    assert array_calls == []
+    mons, mon0, mon1 = secant._ruling_monomials(s3, f7)
+    assert mon1 is None
+    assert mons.shape == (8, 1, 4) and mon0.shape == (8, 4, 1)
+    assert secant._ruling_monomials(s3, f49)[2] is not None
+
+
 def test_analysis_refuses_non_proportional_generator_restrictions(monkeypatch, f7):
     """The proportionality guard: with the last minor replaced by a binomial
     that is not a minor, the restrictions to the secant cone disagree (or all
