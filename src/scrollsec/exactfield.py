@@ -16,7 +16,7 @@ Matrices are lists (or tuples) of equal-length coordinate tuples.  Projective
 linear subspaces are kept in reduced row-echelon form, which makes subspace
 equality literal tuple equality.  The row reduction behind them runs on plain
 ints with an inline `% q`, not through `FieldCtx`: over GF(q) on the entries,
-over GF(q^2) on the two GF(q) components of each entry, split once per call.
+over GF(q^2) on the two GF(q) components of each entry.
 Everything here is immutable after construction and safe to share across
 threads.
 
@@ -206,7 +206,7 @@ def _rref(ctx: FieldCtx, rows, cols: int):
 
     Every step is plain integer arithmetic with an inline `% q`: over a
     prime field on the entries themselves (`_rref_prime`), over GF(q^2) on
-    their two GF(q) components, split once (`_rref_ext`).
+    the two GF(q) components of each entry (`_rref_ext`).
     """
     work = [list(r) for r in rows]
     for r in work:
@@ -249,50 +249,51 @@ def _rref_prime(ctx: FieldCtx, work: list, cols: int):
 
 
 def _rref_ext(ctx: FieldCtx, work: list, cols: int):
-    """`_rref` over GF(q^2) on a list of row lists of packed elements.
+    """`_rref` over GF(q^2) on a list of row lists of packed elements, with
+    plain ints mod q.
 
-    Each entry a0 + q*a1 is split once into its GF(q) components a0 and a1,
-    kept as two parallel lists of rows, and the elimination runs on them in
-    plain ints mod q, with (a0 + a1 w)(b0 + b1 w) = a0 b0 + c a1 b1 +
-    (a0 b1 + a1 b0) w for w^2 = c.  Like `_rref_prime` it touches only the
-    columns where the pivot row is nonzero.  The echelon rows are packed
-    again at the end."""
+    An element a0 + q*a1 stands for a0 + a1 w with w^2 = c, so a product is
+    (a0 + a1 w)(b0 + b1 w) = a0 b0 + c a1 b1 + (a0 b1 + a1 b0) w.  Each
+    pivot row's support, the columns right of the pivot where it is nonzero,
+    is split into its two GF(q) components once per pivot; every entry it
+    updates is split, updated in both components with an inline `% q` and
+    packed again.  The pivot column is set to 1 in the pivot row and to 0
+    in the others without arithmetic."""
     q, c = ctx.q, ctx.c
-    lo = [[x % q for x in r] for r in work]
-    hi = [[x // q for x in r] for r in work]
     pivots: list[int] = []
     rank = 0
     for col in range(cols):
-        piv = next((i for i in range(rank, len(work)) if lo[i][col] or hi[i][col]), None)
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
         if piv is None:
             continue
-        lo[rank], lo[piv] = lo[piv], lo[rank]
-        hi[rank], hi[piv] = hi[piv], hi[rank]
-        row0, row1 = lo[rank], hi[rank]
-        support = [j for j in range(col, cols) if row0[j] or row1[j]]
-        p0, p1 = row0[col], row1[col]
-        if p1 or p0 != 1:
+        work[rank], work[piv] = work[piv], work[rank]
+        row = work[rank]
+        if row[col] != 1:
             # 1 / (p0 + p1 w) = (p0 - p1 w) / (p0^2 - c p1^2)
+            p1, p0 = divmod(row[col], q)
             ninv = pow((p0 * p0 - c * p1 * p1) % q, q - 2, q)
             i0, i1 = p0 * ninv % q, -p1 * ninv % q
-            for j in support:
-                x0, x1 = row0[j], row1[j]
-                row0[j] = (x0 * i0 + c * x1 * i1) % q
-                row1[j] = (x0 * i1 + x1 * i0) % q
-        for i, (t0, t1) in enumerate(zip(lo, hi)):
-            f0, f1 = t0[col], t1[col]
-            if (f0 or f1) and i != rank:
+            row[col] = 1
+            for j in range(col + 1, cols):
+                if row[j]:
+                    x1, x0 = divmod(row[j], q)
+                    row[j] = (x0 * i0 + c * x1 * i1) % q + q * ((x0 * i1 + x1 * i0) % q)
+        support = [(j, row[j] // q, row[j] % q) for j in range(col + 1, cols) if row[j]]
+        for i, tgt in enumerate(work):
+            f = tgt[col]
+            if f and i != rank:
+                tgt[col] = 0
+                f1, f0 = divmod(f, q)
                 cf1 = c * f1
-                for j in support:
-                    x0, x1 = row0[j], row1[j]
-                    t0[j] = (t0[j] - f0 * x0 - cf1 * x1) % q
-                    t1[j] = (t1[j] - f0 * x1 - f1 * x0) % q
+                for j, x1, x0 in support:
+                    t = tgt[j]
+                    t1, t0 = t // q, t % q
+                    tgt[j] = (t0 - f0 * x0 - cf1 * x1) % q + q * ((t1 - f0 * x1 - f1 * x0) % q)
         pivots.append(col)
         rank += 1
         if rank == len(work):
             break
-    echelon = [tuple(a + q * b for a, b in zip(lo[i], hi[i])) for i in range(rank)]
-    return rank, echelon, pivots
+    return rank, [tuple(r) for r in work[:rank]], pivots
 
 
 def rref(ctx: FieldCtx, rows, cols: int):

@@ -133,17 +133,15 @@ class PointTable:
         return False
 
     def packed(self, which):
-        """The packed rows picked by an index array, a mask or a slice, as int64.
-
-        Over a prime field these are the rows of arr0; over GF(q^2) arr0 is
-        added into the scaled arr1 rows in place."""
+        """The packed rows picked by an index array, a mask or a slice, as
+        int64; over a prime field these are the rows of arr0 alone."""
         import numpy as np
 
         if self.ctx.d == 1:
             return self.arr0[which].astype(np.int64)
         out = self.arr1[which].astype(np.int64)
         out *= self.ctx.q
-        out += self.arr0[which]
+        out += self.arr0[which].astype(np.int64)
         return out
 
     @cached_property
@@ -510,11 +508,11 @@ def check_lift_equalities(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**
     _, sec, _, _ = classify_with_data(spec, base_of(ctx), p)
     nv = spec.ambient + 1
     locus = _locus_array(spec, ctx, p, budget)
-    vecs = np.vstack([np.array(normalize_point(ctx, p), dtype=np.int64), locus])
-    if len(vecs) > nv:
-        same_cone = _spans_cone(ctx, vecs, sec.rows)
+    head = normalize_point(ctx, p)
+    if len(locus) >= nv:
+        same_cone = _spans_cone(ctx, np.vstack([np.array(head, dtype=np.int64), locus]), sec.rows)
     else:
-        same_cone = tuple(rref(ctx, vecs.tolist(), nv)[1]) == tuple(sec.rows)
+        same_cone = tuple(rref(ctx, [head] + locus.tolist(), nv)[1]) == tuple(sec.rows)
     if not same_cone:
         problems.append("secant cone differs from vertex-lift of the base cone")
 

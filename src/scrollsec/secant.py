@@ -406,9 +406,11 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     of its RREF rows with the cached coefficients of `_coefficient_array`.
     The first coefficient of every combination is 0 or 1, so its term is a
     plain integer product; only the later terms take packed field products.
-    On a smooth scroll with n = 1 every cut is one point, so an enumeration
-    makes no packed array product at all (the single-column rank test of
-    `pivot_rows` needs none either).
+    A cut of one row is that row, a normalized point, and needs no
+    combination.  With one block (n = 1) a fiber matrix drops rank exactly
+    when it is zero, which one array test finds without `pivot_rows`; on a
+    smooth scroll with n = 1 every cut is then one point, so an enumeration
+    makes no elimination and no packed array product at all.
     """
     import numpy as np
 
@@ -432,11 +434,20 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     by_size = {}
     if spec.vertex_size:
         by_size[spec.vertex_size] = [_lift_rows(spec, ())]
-    for i in np.nonzero(pivot_rows(ctx_d, fibers).sum(axis=1) < spec0.n)[0]:
+    # with one block a fiber matrix drops rank exactly when it is zero
+    if spec0.n == 1:
+        drops = ~fibers.any(axis=(1, 2))
+    else:
+        drops = pivot_rows(ctx_d, fibers).sum(axis=1) < spec0.n
+    for i in np.nonzero(drops)[0]:
         rows = _lift_rows(spec, _fiber_kernel_vectors(ctx_d, fibers[i].tolist(), blocks[i].tolist()))
         by_size.setdefault(len(rows), []).append(rows)
     pts = set()
     for k, spans in by_size.items():
+        if k == 1:
+            # a one-row cut is its RREF row, a normalized point
+            pts.update(rows[0] for rows in spans)
+            continue
         coeffs = _coefficient_array(ctx_d, k)
         rows = np.array(spans, dtype=np.int64)
         # the first coefficient is 0 or 1, so its terms are plain products

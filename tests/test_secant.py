@@ -455,9 +455,9 @@ def test_one_covector_computation_per_point_and_field(monkeypatch):
 def test_one_point_cuts_take_no_packed_array_products(monkeypatch, f7, s3):
     """On the twisted cubic every ruling is a point, so a TwoPoints locus
     over GF(7^2) is two one-point cuts: with the ruling stack cached, its
-    enumeration makes no `FieldCtx.mul` call on arrays (the first span
-    coefficient is 0 or 1, the single-column rank test needs no inverses).
-    Over GF(7) the ruling stack keeps no second GF(q) component."""
+    enumeration makes no `FieldCtx.mul` call on arrays (one block needs no
+    elimination to find the cuts, and a one-row cut no combination).  Over
+    GF(7) the ruling stack keeps no second GF(q) component."""
     import numpy as np
 
     from scrollsec import secant
