@@ -254,11 +254,12 @@ def _rref_ext(ctx: FieldCtx, work: list, cols: int):
 
     An element a0 + q*a1 stands for a0 + a1 w with w^2 = c, so a product is
     (a0 + a1 w)(b0 + b1 w) = a0 b0 + c a1 b1 + (a0 b1 + a1 b0) w.  Each
-    pivot row's support, the columns right of the pivot where it is nonzero,
-    is split into its two GF(q) components once per pivot; every entry it
-    updates is split, updated in both components with an inline `% q` and
-    packed again.  The pivot column is set to 1 in the pivot row and to 0
-    in the others without arithmetic."""
+    step splits the entries it reads into their two GF(q) components,
+    updates both with an inline `% q` and packs the result again; like
+    `_rref_prime` it touches only the columns where the pivot row is
+    nonzero.  The pivot column is set to 1 in the pivot row and to 0 in the
+    others without arithmetic.  The matrices here have a few rows, so no
+    split copy of the whole matrix is made."""
     q, c = ctx.q, ctx.c
     pivots: list[int] = []
     rank = 0
@@ -278,17 +279,18 @@ def _rref_ext(ctx: FieldCtx, work: list, cols: int):
                 if row[j]:
                     x1, x0 = divmod(row[j], q)
                     row[j] = (x0 * i0 + c * x1 * i1) % q + q * ((x0 * i1 + x1 * i0) % q)
-        support = [(j, row[j] // q, row[j] % q) for j in range(col + 1, cols) if row[j]]
         for i, tgt in enumerate(work):
             f = tgt[col]
             if f and i != rank:
                 tgt[col] = 0
                 f1, f0 = divmod(f, q)
                 cf1 = c * f1
-                for j, x1, x0 in support:
-                    t = tgt[j]
-                    t1, t0 = t // q, t % q
-                    tgt[j] = (t0 - f0 * x0 - cf1 * x1) % q + q * ((t1 - f0 * x1 - f1 * x0) % q)
+                for j in range(col + 1, cols):
+                    x = row[j]
+                    if x:
+                        x1, x0 = divmod(x, q)
+                        t1, t0 = divmod(tgt[j], q)
+                        tgt[j] = (t0 - f0 * x0 - cf1 * x1) % q + q * ((t1 - f0 * x1 - f1 * x0) % q)
         pivots.append(col)
         rank += 1
         if rank == len(work):
