@@ -654,8 +654,7 @@ def pivot_rows(ctx: FieldCtx, mats):
     rows above it: the pivot rows of a matrix are the first basis of its row
     space among its own rows, and their number is its rank.  The stack is
     copied, and the inverse table looked up, only once a column right of a
-    pivot remains to be updated, so a single-column rank test (the fiber
-    matrices of a scroll with one block) does neither.
+    pivot remains to be updated, so a single-column rank test does neither.
     """
     import numpy as np
 
