@@ -26,6 +26,7 @@ import sys
 from .delpezzo import (
     atlas_enumerate,
     depth_predict,
+    draw_external_point,
     is_del_pezzo,
     locus_fills_ambient,
     sample_inside_locus,
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .exactfield import field_make, normalize_point
 from .oracle import brute_membership, brute_secant_locus, check_lift_equalities
-from .scroll import contains, parse_scroll, scroll_literal
+from .scroll import parse_scroll, scroll_literal
 from .secant import classify_with_data, secant_locus_points
 from .strata import stratum_geometric
 
@@ -144,14 +145,9 @@ def run_classify(args) -> int:
 
 
 def _random_external_point(spec, ctx, rng):
-    nv = spec.ambient + 1
-    while True:
-        p = tuple(ctx.rand(rng) for _ in range(nv))
-        if not any(p):
-            continue
-        p = normalize_point(ctx, p)
-        if not contains(spec, ctx, p):
-            return p
+    while (p := draw_external_point(spec, ctx, rng)) is None:
+        pass
+    return p
 
 
 def run_sample(args) -> int:

@@ -307,19 +307,23 @@ def locus_fills_ambient(entry_kind: str, spec: ScrollSpec) -> bool:
     return entry_kind == "sec" and spec.a == (3,)
 
 
+def draw_external_point(spec: ScrollSpec, ctx: FieldCtx, rng):
+    """One uniform draw of the ambient space: the normalized point when it is
+    nonzero and off the scroll, else None; callers bound their own retries."""
+    coords = [ctx.rand(rng) for _ in range(spec.ambient + 1)]
+    if not any(coords):
+        return None
+    p = normalize_point(ctx, coords)
+    return None if contains(spec, ctx, p) else p
+
+
 def sample_outside_locus(entry_kind: str, spec: ScrollSpec, ctx: FieldCtx, rng):
     """A random external point off the locus, or None when the locus is everything."""
     if locus_fills_ambient(entry_kind, spec):
         return None
-    nv = spec.ambient + 1
     for _ in range(5000):
-        coords = [ctx.rand(rng) for _ in range(nv)]
-        if not any(coords):
-            continue
-        p = normalize_point(ctx, coords)
-        if contains(spec, ctx, p):
-            continue
-        if not locus_member(entry_kind, spec, ctx, p):
+        p = draw_external_point(spec, ctx, rng)
+        if p is not None and not locus_member(entry_kind, spec, ctx, p):
             return p
     raise InvariantError("could not sample a point outside the locus")
 

@@ -27,9 +27,9 @@ products mod q:
   looking a point up touches only the first;
 * the pair scan (`_pair_data`) tests every table row against p with the
   first nonzero secant covector, one matrix-vector product per component,
-  and the other covectors only on the rows that pass it; the covectors of a
-  point are computed once for its scans over GF(q) and GF(q^2), with plain
-  ints mod q (`_line_covectors`), and the brute-force functions asking
+  and the other covectors only on the rows that pass it; the covectors come
+  from `secant._secant_rows`, which the fast path shares, once per point for
+  its scans over GF(q) and GF(q^2), and the brute-force functions asking
   about the same point and field share its masks and the packed rows of
   its locus;
 * the joins of `brute_membership` are built from grid embeddings of the
@@ -76,6 +76,8 @@ from .exactfield import (
 )
 from .scroll import ScrollSpec, _embed_grid, _embed_rows, quadric_generators
 from .secant import (
+    _secant_rows,
+    base_field_point,
     classify_signature,
     classify_with_data,
     reduced_point,
@@ -322,13 +324,14 @@ def _pair_data(spec: ScrollSpec, base_ctx: FieldCtx, table: PointTable, p):
     first stage.  The one-byte components are upcast to int64 a block of
     `_NORMALIZE_ROWS` rows at a time, and after the first covector only the
     rows still in play are, so no product wraps and no int64 copy of the
-    whole table is made.  The covectors come from `_line_covectors`, cached
-    per point.
+    whole table is made.  The covectors come from the cached
+    `secant._secant_rows`: secant rows, the first one first, then polar rows.
     """
     import numpy as np
 
     q = base_ctx.q
-    first, rest, n_secant = _line_covectors(quadric_generators(spec, base_ctx), tuple(p))
+    rows, n = _secant_rows(quadric_generators(spec, base_ctx), tuple(p))
+    first, rest, n_secant = (rows[0], rows[1:], n - 1) if n else (None, rows, 0)
     comps = (table.arr0, table.arr1) if table.ctx.d == 2 else (table.arr0,)
     secant_mask = np.zeros(len(table), dtype=bool)
     tangent_mask = np.zeros(len(table), dtype=bool)
@@ -346,37 +349,6 @@ def _pair_data(spec: ScrollSpec, base_ctx: FieldCtx, table: PointTable, p):
         secant_mask[rows[~nonzero[:n_secant].any(axis=0)]] = True
         tangent_mask[rows[~nonzero.any(axis=0)]] = True
     return secant_mask, tangent_mask
-
-
-@lru_cache(maxsize=16)
-def _line_covectors(gens: tuple, p: tuple):
-    """The covectors of the line test of `_pair_data` for the generators gens
-    over GF(q) at p: (first, rest, n), with first the first nonzero secant
-    covector A_i0 B_i - A_i B_i0 (None if there is none), and rest the other
-    n nonzero secant covectors stacked above the polar covectors B_i.
-
-    Cached on the generators and the point, so the scans of one point over
-    GF(q) and GF(q^2) compute them once.  The covectors are computed with
-    plain ints mod q, like `secant._secant_covectors`, and each returned
-    array is built once from them; the arrays are read-only.
-    """
-    import numpy as np
-
-    a_vals = [g.evaluate(p) for g in gens]
-    if not any(a_vals):
-        raise PointOnVarietyError("p lies on the scroll")
-    q = gens[0].ctx.q
-    w = [g.polar(p) for g in gens]
-    i0 = next(i for i, a in enumerate(a_vals) if a)
-    a0, w0 = a_vals[i0], w[i0]
-    secant = [row for row in ([(a0 * x - ai * y) % q for x, y in zip(wi, w0)]
-                              for ai, wi in zip(a_vals, w)) if any(row)]
-    first = np.array(secant.pop(0), dtype=np.int64) if secant else None
-    rest = np.array(secant + w, dtype=np.int64)
-    for arr in (first, rest):
-        if arr is not None:
-            arr.flags.writeable = False
-    return first, rest, len(secant)
 
 
 @lru_cache(maxsize=4)
@@ -403,9 +375,9 @@ def brute_secant_locus(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7):
 
     This is the pairwise line test applied literally to every rational point
     of the scroll; it must equal the fast path's union of ruling cuts over the
-    same field.
+    same field.  p lies over GF(q) (`secant.base_field_point`).
     """
-    return {tuple(r) for r in _locus_array(spec, ctx, p, budget).tolist()}
+    return {tuple(r) for r in _locus_array(spec, ctx, base_field_point(ctx, p), budget).tolist()}
 
 
 def _locus_array(spec: ScrollSpec, ctx: FieldCtx, p, budget: int):
@@ -416,7 +388,9 @@ def _locus_array(spec: ScrollSpec, ctx: FieldCtx, p, budget: int):
 def brute_membership(
     spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7
 ) -> MembershipReport:
-    """Set memberships by exhaustive enumeration of the defining joins."""
+    """Set memberships by exhaustive enumeration of the defining joins; p lies
+    over GF(q) (`secant.base_field_point`)."""
+    p = base_field_point(ctx, p)
     table, (secant_mask, tangent_mask, _) = _masks(spec, ctx, p, budget)
     in_sec = bool((secant_mask & table.nonvertex).any())
     in_tan = bool((tangent_mask & table.nonvertex).any())
@@ -500,10 +474,11 @@ def check_lift_equalities(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**
     At most as many rows as coordinates are row-reduced directly.  A longer
     locus (thousands of points on a cone) is compared by `_spans_cone`, and
     the join, built as one array, is compared with it by distinct counts of
-    packed keys.
+    packed keys.  p lies over GF(q) (`secant.base_field_point`).
     """
     import numpy as np
 
+    p = base_field_point(ctx, p)
     problems = []
     _, sec, _, _ = classify_with_data(spec, base_of(ctx), p)
     nv = spec.ambient + 1

@@ -70,6 +70,7 @@ from functools import lru_cache
 
 from .errors import (
     BudgetExceededError,
+    DimensionMismatchError,
     PointOnVarietyError,
     UnclassifiableSignatureError,
     ZeroVectorError,
@@ -190,6 +191,18 @@ def secant_pair_test(spec: ScrollSpec, ctx: FieldCtx, p, q) -> str:
 # ---------------------------------------------------------------------------
 
 
+def base_field_point(ctx: FieldCtx, p) -> tuple:
+    """p reduced mod the field size, as a tuple, checked to lie over GF(q):
+    the secant covectors come from the generators over GF(q), which would read
+    a coordinate outside GF(q) mod q, so such a p raises DimensionMismatchError.
+    """
+    size = ctx.size
+    p = tuple([x % size for x in p])
+    if size != ctx.q and max(p, default=0) >= ctx.q:
+        raise DimensionMismatchError("p needs coordinates in GF(q)")
+    return p
+
+
 def reduced_point(spec: ScrollSpec, p):
     """Delete the vertex coordinates of p; must leave a nonzero vector."""
     pbar = tuple(p[spec.vertex_size:])
@@ -199,35 +212,47 @@ def reduced_point(spec: ScrollSpec, p):
 
 
 @lru_cache(maxsize=16)
-def _secant_covectors(gens: tuple, pbar: tuple) -> tuple:
-    """Row covectors of the linear system cutting the secant locus on each ruling.
+def _secant_rows(gens: tuple, p: tuple):
+    """The covectors of the line test at p for the generators gens over GF(q),
+    with plain ints mod q: (rows, n), rows a read-only int64 array holding
+    the n nonzero secant covectors A_i0 * 2 p G_i - A_i * 2 p G_i0 (i0 the
+    first i with A_i = Q_i(p) != 0) stacked above the polar covectors 2 p G_i.
 
-    Row i (for i != pivot) is A_i0 * 2 p G_i - A_i * 2 p G_i0, a linear form on
-    the ambient space of the smooth scroll, whose generators are gens.  Over
-    GF(q), the field of the generators `secant_locus_points` passes, the rows
-    are plain ints mod q; `fiber_secant_space` passes the generators over the
-    field of its ruling, which may hold p, and takes the packed operations.
-    Cached on the generators and the reduced point, so the GF(q) and GF(q^2)
-    enumerations of one point share one computation; the rows are tuples.
+    The secant rows cut the secant locus out of every ruling; the brute pair
+    scan (`oracle._pair_data`) tests table rows against both blocks.  The
+    fast path asks with the base generators and the reduced point, the brute
+    scan with the cone generators and the whole point, so on a smooth scroll
+    they share one entry, as the GF(q) and GF(q^2) scans of a point do.
     """
-    ctx = gens[0].ctx
-    a_vals = [g.evaluate(pbar) for g in gens]
+    import numpy as np
+
+    a_vals = [g.evaluate(p) for g in gens]
     if not any(a_vals):
         raise PointOnVarietyError("p lies on the scroll")
+    q = gens[0].ctx.q
+    w = [g.polar(p) for g in gens]
     i0 = next(i for i, a in enumerate(a_vals) if a)
-    twop = [g.polar(pbar) for g in gens]
-    a0, w0 = a_vals[i0], twop[i0]
+    a0, w0 = a_vals[i0], w[i0]
+    secant = [row for row in ([(a0 * x - ai * y) % q for x, y in zip(wi, w0)]
+                              for ai, wi in zip(a_vals, w)) if any(row)]
+    rows = np.array(secant + w, dtype=np.int64)
+    rows.flags.writeable = False
+    return rows, len(secant)
+
+
+def _combinations(ctx: FieldCtx, coeffs, rows):
+    """The combinations sum_j c_j r_j of each row set of a stack (sets, k, N)
+    with each coefficient row c of coeffs (C, k), shape (sets, C, N): over a
+    prime field one integer matrix product.  Over GF(q^2) column 0 of coeffs
+    must be 0 or 1, as it is for normalized points and RREF rows, so its term
+    is a plain integer product; the others take packed field products.
+    """
     if ctx.d == 1:
-        q = ctx.q
-        return tuple(
-            tuple((a0 * x - ai * y) % q for x, y in zip(wi, w0))
-            for i, (ai, wi) in enumerate(zip(a_vals, twop)) if i != i0
-        )
-    mul, sub = ctx.mul, ctx.sub
-    return tuple(
-        tuple(sub(mul(a0, x), mul(ai, y)) for x, y in zip(wi, w0))
-        for i, (ai, wi) in enumerate(zip(a_vals, twop)) if i != i0
-    )
+        return coeffs @ rows % ctx.q
+    combos = coeffs[:, 0, None] * rows[:, None, 0]
+    for j in range(1, coeffs.shape[1]):
+        combos = ctx.add(combos, ctx.mul(coeffs[:, j, None], rows[:, None, j]))
+    return combos
 
 
 def _fiber_kernel_vectors(ctx_x: FieldCtx, fiber, blocks) -> list:
@@ -235,17 +260,20 @@ def _fiber_kernel_vectors(ctx_x: FieldCtx, fiber, blocks) -> list:
     vectors u of the fiber matrix at x, the secant covectors applied to the
     n block vectors v_i(x), combined as sum_i u_i v_i(x).
 
-    blocks are those block vectors, from the caller: `_ruling_rows` of the
-    smooth scroll, or a row of the cached `_ruling_monomials` stack.  A zero
+    blocks is the int64 array of those block vectors, from `_ruling_rows` of
+    the smooth scroll or a row of the cached `_ruling_monomials` stack; the
+    kernel rows are in RREF, so one `_combinations` forms them.  A zero
     fiber matrix, the only kind with a nonzero kernel when n = 1, has the
     unit vectors as its echelonized kernel, so it cuts out the block vectors
     themselves.
     """
+    import numpy as np
+
     if not any(map(any, fiber)):
-        return [tuple(v) for v in blocks]
+        return list(map(tuple, blocks.tolist()))
     _, _, kernel = row_reduce(ctx_x, fiber, len(blocks))
-    cols = list(zip(*blocks))
-    return [tuple(_dot(ctx_x, u, col) for col in cols) for u in kernel]
+    coeffs = np.array(kernel, dtype=np.int64).reshape(-1, len(blocks))
+    return list(map(tuple, _combinations(ctx_x, coeffs, blocks[None])[0].tolist()))
 
 
 def _lift_rows(spec: ScrollSpec, base_rows):
@@ -264,20 +292,26 @@ def _lift_rows(spec: ScrollSpec, base_rows):
 def fiber_secant_space(spec: ScrollSpec, ctx: FieldCtx, p, x) -> LinearSubspace:
     """The cut of the secant locus of p on the ruling over x (vertex included).
 
-    Possibly just the vertex subspace, possibly empty for smooth scrolls.
+    Possibly just the vertex subspace, possibly empty for smooth scrolls.  p
+    lies over GF(q) (`base_field_point`).  The fiber matrix takes scalar
+    products, apart from the array products of `secant_locus_points`; the
+    kernel vectors are combined on int64 arrays, which need q < 2^26.
     """
+    import numpy as np
+
+    p = base_field_point(ctx, p)
+    if ctx.q >= 1 << 26:
+        raise BudgetExceededError("fiber_secant_space needs q < 2^26")
     if contains(spec, ctx, p):
         raise PointOnVarietyError("p lies on the scroll")
     s, t = x
     if not s and not t:
         raise ZeroVectorError("ruling needs (s,t) != (0,0)")
     spec0 = spec.base()
-    pbar = reduced_point(spec, p)
-    covectors = _secant_covectors(quadric_generators(spec0, ctx), pbar)
+    cov, n = _secant_rows(quadric_generators(spec0, base_of(ctx)), reduced_point(spec, p))
     blocks = _ruling_rows(spec0, ctx, x)
-    fiber = [[_dot(ctx, w, v) for v in blocks] for w in covectors]
-    vecs = _fiber_kernel_vectors(ctx, fiber, blocks)
-    rows = _lift_rows(spec, vecs)
+    fiber = [[_dot(ctx, w, v) for v in blocks] for w in cov[:n].tolist()]
+    rows = _lift_rows(spec, _fiber_kernel_vectors(ctx, fiber, np.array(blocks, dtype=np.int64)))
     if not rows:
         return LinearSubspace(ctx, spec.ambient, ())
     _, ech = rref(ctx, rows, spec.ambient + 1)
@@ -383,15 +417,15 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     """All rational points of the secant locus over the field of ctx_d.
 
     Exhaustive over the rulings of that field: still the fiber-linear fast
-    path, used for set-level comparison against the brute-force oracle.  The
-    covectors lie over GF(q) and are cached per point (`_secant_covectors`),
-    so the GF(q) and GF(q^2) enumerations of a point compute them once.  The
-    fiber matrices of all rulings come from integer matrix products, one per
-    GF(q) component of the ruling stack (`_ruling_monomials`; over a prime
-    field the second component is zero and skipped), and one batched rank
-    test finds the rulings with a nonzero cut.  Only those go through
-    `_fiber_kernel_vectors`, with their matrices and their block vectors from
-    the cached stacks, so no ruling point is embedded one at a time.
+    path, used for set-level comparison against the brute-force oracle.  p
+    lies over GF(q) (`base_field_point`); its secant rows come from the cached
+    `_secant_rows`.  The fiber matrices of all rulings come from integer
+    matrix products, one per GF(q) component of the ruling stack
+    (`_ruling_monomials`; over a prime field the second component is zero
+    and skipped), and one batched rank test finds the rulings with a nonzero
+    cut.  Only those go through `_fiber_kernel_vectors`, with their matrices
+    and their block vectors from the cached stacks, so no ruling point is
+    embedded one at a time.
 
     The lifted rows of a cut are already in RREF, so no elimination runs on
     them.  The kernel rows u are in RREF (`row_reduce` echelonizes its
@@ -402,35 +436,30 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     is zero, since it is zero on the whole block i_r; the blocks come in
     coordinate order, so the pivots increase with r.  The vertex unit rows
     come first and the block rows are zero on the vertex.  The cuts are
-    grouped by size, and the points of each group come from one combination
-    of its RREF rows with the cached coefficients of `_coefficient_array`.
-    The first coefficient of every combination is 0 or 1, so its term is a
-    plain integer product; only the later terms take packed field products.
-    A cut of one row is that row, a normalized point, and needs no
-    combination.  With one block (n = 1) a fiber matrix drops rank exactly
-    when it is zero, which one array test finds without `pivot_rows`; on a
-    smooth scroll with n = 1 every cut is then one point, so an enumeration
-    makes no elimination and no packed array product at all.
+    grouped by size, and the points of each group come from one
+    `_combinations` of its RREF rows with the cached coefficients of
+    `_coefficient_array`.  A cut of one row is that row, a normalized point,
+    and needs no combination.  With one block (n = 1) a fiber matrix drops
+    rank exactly when it is zero, which one array test finds without
+    `pivot_rows`; on a smooth scroll with n = 1 every cut is then one point,
+    so an enumeration makes no elimination and no packed array product.
     """
     import numpy as np
 
     spec0 = spec.base()
-    pbar = reduced_point(spec, p)
-    base_ctx = base_of(ctx_d)
-    if contains(spec, base_ctx, p):
-        raise PointOnVarietyError("p lies on the scroll")
-    covectors = _secant_covectors(quadric_generators(spec0, base_ctx), pbar)
+    pbar = reduced_point(spec, base_field_point(ctx_d, p))
+    # raises PointOnVarietyError when p lies on the scroll
+    cov, n = _secant_rows(quadric_generators(spec0, base_of(ctx_d)), pbar)
     size = ctx_d.size
     est = (size + 1) * max(1, size ** (spec.dim - 1))
     if est > budget:
         raise BudgetExceededError(f"enumeration of size ~{est} exceeds budget {budget}")
     blocks, mon0, mon1 = _ruling_monomials(spec0, ctx_d)
     nv = spec.ambient + 1
-    w = np.array(covectors, dtype=np.int64).reshape(-1, spec0.ambient + 1)
     q = ctx_d.q
-    fibers = w @ mon0 % q
+    fibers = cov[:n] @ mon0 % q
     if mon1 is not None:
-        fibers += q * (w @ mon1 % q)
+        fibers += q * (cov[:n] @ mon1 % q)
     by_size = {}
     if spec.vertex_size:
         by_size[spec.vertex_size] = [_lift_rows(spec, ())]
@@ -440,20 +469,15 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     else:
         drops = pivot_rows(ctx_d, fibers).sum(axis=1) < spec0.n
     for i in np.nonzero(drops)[0]:
-        rows = _lift_rows(spec, _fiber_kernel_vectors(ctx_d, fibers[i].tolist(), blocks[i].tolist()))
-        by_size.setdefault(len(rows), []).append(rows)
+        cut = _lift_rows(spec, _fiber_kernel_vectors(ctx_d, fibers[i].tolist(), blocks[i]))
+        by_size.setdefault(len(cut), []).append(cut)
     pts = set()
     for k, spans in by_size.items():
         if k == 1:
             # a one-row cut is its RREF row, a normalized point
-            pts.update(rows[0] for rows in spans)
+            pts.update(cut[0] for cut in spans)
             continue
-        coeffs = _coefficient_array(ctx_d, k)
-        rows = np.array(spans, dtype=np.int64)
-        # the first coefficient is 0 or 1, so its terms are plain products
-        combos = coeffs[:, 0, None] * rows[:, None, 0]
-        for j in range(1, k):
-            combos = ctx_d.add(combos, ctx_d.mul(coeffs[:, j, None], rows[:, None, j]))
+        combos = _combinations(ctx_d, _coefficient_array(ctx_d, k), np.array(spans))
         pts.update(map(tuple, combos.reshape(-1, nv).tolist()))
     return pts
 
@@ -494,9 +518,7 @@ def _coefficient_array(ctx: FieldCtx, k: int):
     once and normalized: the first nonzero coefficient is 1 and falls on the
     first row used, whose pivot entry is 1 and lies left of every later row's
     nonzero entries.  In particular the first coefficient, column 0, is 0 or
-    1, so `secant_locus_points`, which applies them to the RREF rows of a
-    whole group of same-size ruling cuts in one broadcast product, forms its
-    first term as a plain integer product.
+    1, as `_combinations` needs.
     """
     import numpy as np
 

@@ -296,3 +296,43 @@ def test_the_export_lint_catches_an_unused_reexport():
     b = "from .a import used\nclass Helper:\n    pass\ndef f():\n    return used(), Helper()\n"
     readme = _readme_names("Call `in_readme()`; `a.spare` is in its module.")
     assert _unused_reexports(init, [a, b], readme) == ["spare", "recursive"]
+
+
+def _unresolved(pairs) -> set:
+    """The (module, attribute) pairs whose scrollsec module lacks the attribute."""
+    import importlib
+
+    return {f"{mod}.{attr}" for mod, attr in pairs
+            if not hasattr(importlib.import_module(f"scrollsec.{mod}"), attr)}
+
+
+def test_the_names_the_benchmark_uses_resolve():
+    """bench/ reaches the program by name, so a renamed function would fail
+    every benchmark point, or silently zero a per-layer metric, instead of
+    failing here.  Every attribute of a program module that the workloads
+    use, and every name they import from one, resolves.  The tracer's hooks,
+    its span and counter tables and the functions it looks up by name,
+    resolve except the three whose layers the program no longer has."""
+    workloads = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    used = {(node.value.id, node.attr) for node in ast.walk(workloads)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("secant", "oracle", "delpezzo", "strata", "scroll")}
+    used |= {(node.module.split(".")[1], alias.name) for node in ast.walk(workloads)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scrollsec.")
+             for alias in node.names}
+    assert len(used) > 10 and _unresolved(used) == set()
+
+    tracer = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    modules = {alias.name for node in tracer.body if isinstance(node, ast.ImportFrom)
+               and node.module == "scrollsec" for alias in node.names}
+    hooks = set()
+    for node in ast.walk(tracer):
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("_SPANS", "_COUNTS"):
+            hooks |= {(row.elts[0].id, row.elts[1].value) for row in node.value.elts}
+        elif isinstance(node, ast.Call) and _name(node.func) in ("getattr", "_replace"):
+            mod, attr = node.args[:2]
+            if isinstance(mod, ast.Name) and mod.id in modules and isinstance(attr, ast.Constant):
+                hooks.add((mod.id, attr.value))
+    assert len(hooks) > 15
+    assert _unresolved(hooks) == {
+        "_binpoly.roots_base_and_ext", "_binpoly.roots_in_field", "secant._scan_for_point"}

@@ -115,6 +115,24 @@ def test_budget_guard(f5):
         enumerate_points(scroll_new([1, 1, 2, 3], 2), f5, budget=1000)
 
 
+def test_points_off_the_base_field_are_rejected():
+    """The secant covectors come from the generators over GF(q), which read a
+    coordinate of GF(q^2) outside GF(q) mod q, so the fast and brute sides
+    would agree on the locus of another point.  Every entry point that reads
+    p that way rejects such a point; these are TwoPoints over GF(49)."""
+    from scrollsec import DimensionMismatchError, classify_signature
+    from scrollsec.secant import fiber_secant_space
+
+    s3, f49 = scroll_new([3]), field_make(7, 2)
+    for p in ((1, 0, 9, 0), (1, 2, 10, 3), (0, 1, 0, 15)):
+        assert classify_signature(s3, f49, p).label == "TwoPoints"
+        for read in (secant_locus_points, brute_secant_locus, brute_membership, check_lift_equalities):
+            with pytest.raises(DimensionMismatchError):
+                read(s3, f49, p)
+        with pytest.raises(DimensionMismatchError):
+            fiber_secant_space(s3, f49, p, (1, 0))
+
+
 def test_brute_secant_locus_examples(f5):
     s3 = scroll_new([3])
     assert brute_secant_locus(s3, f5, (1, 0, 0, 1)) == {(1, 0, 0, 0), (0, 0, 0, 1)}

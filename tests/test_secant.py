@@ -70,6 +70,26 @@ def test_fiber_secant_space_s111_is_line(f7):
         assert cut.pdim == 1
 
 
+def test_fiber_secant_space_below_and_above_the_int64_bound():
+    """The kernel vectors are combined on int64 arrays, which stay exact for
+    q < 2^26: at the largest prime below, over GF(q) and GF(q^2), every cut
+    row passes the pair test.  At a 61-bit prime the products would wrap and
+    the cut would fail it, so that field is refused."""
+    from scrollsec import BudgetExceededError
+
+    spec, rng = scroll_new([1, 1, 1]), random.Random(3)
+    for d in (1, 2):
+        ctx = field_make(67108859, d)
+        p = external_point(spec, field_make(67108859, 1), rng)
+        x = (1, ctx.rand(rng))
+        cut = fiber_secant_space(spec, ctx, p, x)
+        assert cut.pdim == 1
+        for row in cut.rows:
+            assert secant_pair_test(spec, ctx, p, normalize_point(ctx, row)) in (SECANT, TANGENT_CONTACT)
+    with pytest.raises(BudgetExceededError):
+        fiber_secant_space(spec, field_make(2**61 - 1, 1), (1, 0, 0, 1, 0, 0), (1, 5))
+
+
 def test_secant_cone_chord_case(f7, s3):
     p = (1, 0, 0, 1)
     _, sec, quadric, kernel = classify_with_data(s3, f7, p)
@@ -411,7 +431,7 @@ def test_one_polar_solve_per_point(monkeypatch, f7):
 
     counted("row_reduce")
     counted("rref")
-    counted("_secant_covectors")
+    counted("_secant_rows")
     counted("_fiber_kernel_vectors")
     secant._analysis.cache_clear()
     classify_with_data(spec, f7, p)
@@ -422,14 +442,16 @@ def test_one_polar_solve_per_point(monkeypatch, f7):
 
 
 def test_one_covector_computation_per_point_and_field(monkeypatch):
-    """The GF(q) and GF(q^2) enumerations of one point share its covectors:
-    after `secant_locus_points` and `brute_secant_locus` over both fields,
-    the fast side's and the brute side's covector caches each report exactly
-    one miss, and no ruling point is embedded one at a time."""
+    """One builder makes the covectors of both sides: after
+    `secant_locus_points` and `brute_secant_locus` over GF(q) and GF(q^2),
+    `secant._secant_rows` reports one miss for a point of the smooth S(3),
+    where the fast and brute sides ask with the same generators and point,
+    and two for a point of S(1,2)+cone(0): the base key of the fast side and
+    the cone key of the brute side.  No ruling point is embedded one at a
+    time."""
     from scrollsec import brute_secant_locus, oracle, scroll, secant
 
-    spec, f7 = scroll_new([1, 2], 0), field_make(7, 1)
-    p = external_point(spec, f7, random.Random(5))
+    f7 = field_make(7, 1)
     calls = []
 
     def counted(*args):
@@ -440,15 +462,15 @@ def test_one_covector_computation_per_point_and_field(monkeypatch):
     for module in (scroll, secant):
         if hasattr(module, "embed"):
             monkeypatch.setattr(module, "embed", counted)
-    secant._secant_covectors.cache_clear()
-    oracle._line_covectors.cache_clear()
-    for d in (1, 2):
-        ctx_d = field_make(7, d)
-        assert secant_locus_points(spec, ctx_d, p) == brute_secant_locus(spec, ctx_d, p)
-    assert secant._secant_covectors.cache_info().misses == 1
-    assert oracle._line_covectors.cache_info().misses == 1
-    assert secant._secant_covectors.cache_info().hits >= 1
-    assert oracle._line_covectors.cache_info().hits >= 1
+    for spec, misses in ((scroll_new([3]), 1), (scroll_new([1, 2], 0), 2)):
+        p = external_point(spec, f7, random.Random(5))
+        secant._secant_rows.cache_clear()
+        oracle._line_masks.cache_clear()
+        for d in (1, 2):
+            ctx_d = field_make(7, d)
+            assert secant_locus_points(spec, ctx_d, p) == brute_secant_locus(spec, ctx_d, p)
+        info = secant._secant_rows.cache_info()
+        assert (info.misses, info.hits) == (misses, 4 - misses), spec
     assert calls == []
 
 
