@@ -293,9 +293,9 @@ def fiber_secant_space(spec: ScrollSpec, ctx: FieldCtx, p, x) -> LinearSubspace:
     """The cut of the secant locus of p on the ruling over x (vertex included).
 
     Possibly just the vertex subspace, possibly empty for smooth scrolls.  p
-    lies over GF(q) (`base_field_point`).  The fiber matrix takes scalar
-    products, apart from the array products of `secant_locus_points`; the
-    kernel vectors are combined on int64 arrays, which need q < 2^26.
+    lies over GF(q) (`base_field_point`).  The fiber matrix is formed with
+    scalar products, independently of `secant_locus_points`; the kernel
+    vectors are combined on int64 arrays, exact only for q < 2^26.
     """
     import numpy as np
 

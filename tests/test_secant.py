@@ -443,13 +443,14 @@ def test_one_polar_solve_per_point(monkeypatch, f7):
 
 def test_one_covector_computation_per_point_and_field(monkeypatch):
     """One builder makes the covectors of both sides: after
-    `secant_locus_points` and `brute_secant_locus` over GF(q) and GF(q^2),
-    `secant._secant_rows` reports one miss for a point of the smooth S(3),
-    where the fast and brute sides ask with the same generators and point,
-    and two for a point of S(1,2)+cone(0): the base key of the fast side and
-    the cone key of the brute side.  No ruling point is embedded one at a
+    `secant_locus_points` and `brute_secant_locus` over GF(q) and GF(q^2)
+    and the lift check, `secant._secant_rows` reports one miss for a point
+    of the smooth S(3), where the fast and brute sides ask with the same
+    generators and point, and two for a point of S(1,2)+cone(0): the base
+    key of the fast side, which the lift check's base scan hits, and the
+    cone key of the brute side.  No ruling point is embedded one at a
     time."""
-    from scrollsec import brute_secant_locus, oracle, scroll, secant
+    from scrollsec import brute_secant_locus, check_lift_equalities, oracle, scroll, secant
 
     f7 = field_make(7, 1)
     calls = []
@@ -469,8 +470,9 @@ def test_one_covector_computation_per_point_and_field(monkeypatch):
         for d in (1, 2):
             ctx_d = field_make(7, d)
             assert secant_locus_points(spec, ctx_d, p) == brute_secant_locus(spec, ctx_d, p)
+        assert check_lift_equalities(spec, ctx_d, p) == []
         info = secant._secant_rows.cache_info()
-        assert (info.misses, info.hits) == (misses, 4 - misses), spec
+        assert (info.misses, info.hits) == (misses, 3), spec
     assert calls == []
 
 
