@@ -11,9 +11,9 @@ from the same cached secant analysis, and no option changes the mathematics
 
 Exit codes: 0 success/agreement, 2 unclassifiable signature data, 3 label
 disagreement, failed verification or a broken invariant (InvariantError), 64
-usage/parse errors (argparse's too, negative counts or budgets and atlas
-bounds that admit no scroll among them) and an --out file that cannot be
-written, 65 point on the variety, 66 over budget.
+usage/parse errors (argparse's too, negative counts or budgets, atlas bounds
+that admit no scroll and sizes past `SIZE_MAX` among them) and an --out file
+that cannot be written, 65 point on the variety, 66 over budget.
 """
 
 from __future__ import annotations
@@ -55,6 +55,9 @@ EXIT_BUDGET = 66
 
 DEFAULT_Q = 10007
 ORACLE_Q_MAX = 101
+# the largest degree sum and vertex dimension of a scroll literal, --max-deg
+# and --max-h: the generators grow as deg^2 and the atlas walk as max_deg^3
+SIZE_MAX = 64
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -81,6 +84,14 @@ def _examples(points) -> list:
     """The first `DIFF_EXAMPLES` of a set of points in sorted order, as
     coordinate strings."""
     return [_coords_str(p) for p in sorted(points)[:DIFF_EXAMPLES]]
+
+
+def _parse_scroll(text: str):
+    spec = parse_scroll(text)
+    if spec.deg > SIZE_MAX or spec.h > SIZE_MAX:
+        raise ScrollParseError(
+            f"scroll {text!r}: degree sum and vertex dimension must be <= {SIZE_MAX}")
+    return spec
 
 
 def _parse_point(text: str, ctx):
@@ -122,7 +133,7 @@ def _classify_report(spec, ctx, p):
 
 
 def run_classify(args) -> int:
-    spec = parse_scroll(args.scroll)
+    spec = _parse_scroll(args.scroll)
     ctx = field_make(args.q, 1)
     p = _parse_point(args.point, ctx)
     try:
@@ -151,7 +162,7 @@ def _random_external_point(spec, ctx, rng):
 
 
 def run_sample(args) -> int:
-    spec = parse_scroll(args.scroll)
+    spec = _parse_scroll(args.scroll)
     ctx = field_make(args.q, 1)
     rng = random.Random(args.seed)
     census = {label: 0 for label in
@@ -199,21 +210,18 @@ def run_atlas(args) -> int:
     clean = True
     for entry in entries:
         spec = parse_scroll(entry.scroll)
-        inside_ok = 0
-        for _ in range(args.verify_samples):
-            p = sample_inside_locus(entry.locus_kind, spec, ctx, rng)
-            sig, _, _, _ = classify_with_data(spec, ctx, p)
-            if is_del_pezzo(spec, sig):
-                inside_ok += 1
-        outside_acm = 0
-        outside_total = 0
+        # every inside draw, then every outside draw, from one generator
+        draws = [(sample_inside_locus, True)]
         if not locus_fills_ambient(entry.locus_kind, spec):
+            draws.append((sample_outside_locus, False))
+        acm = {True: 0, False: 0}
+        for sample, inside in draws:
             for _ in range(args.verify_samples):
-                p = sample_outside_locus(entry.locus_kind, spec, ctx, rng)
-                outside_total += 1
+                p = sample(entry.locus_kind, spec, ctx, rng)
                 sig, _, _, _ = classify_with_data(spec, ctx, p)
-                if is_del_pezzo(spec, sig):
-                    outside_acm += 1
+                acm[inside] += is_del_pezzo(spec, sig)
+        inside_ok, outside_acm = acm[True], acm[False]
+        outside_total = args.verify_samples * (len(draws) - 1)
         ok = inside_ok == args.verify_samples and outside_acm == 0
         clean = clean and ok
         out_entries.append(
@@ -252,7 +260,7 @@ def run_atlas(args) -> int:
 
 
 def run_oracle_check(args) -> int:
-    spec = parse_scroll(args.scroll)
+    spec = _parse_scroll(args.scroll)
     if args.q > ORACLE_Q_MAX:
         raise ScrollParseError(f"oracle commands need q <= {ORACLE_Q_MAX}")
     base_ctx = field_make(args.q, 1)
@@ -313,14 +321,16 @@ def run_oracle_check(args) -> int:
     return EXIT_OK if not diffs else EXIT_DISAGREEMENT
 
 
-def at_least(low: int):
-    """argparse type of an int >= low: a number of points or samples or a
-    budget (low 0), or an atlas bound that admits the smallest scroll, S(3)."""
+def int_between(low: int, high: int | None = None):
+    """argparse type of an int >= low, and <= high when given: a count or a
+    budget (low 0), or an atlas bound between the smallest scroll and `SIZE_MAX`."""
 
     def bounded(text: str) -> int:
         n = int(text)
         if n < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        if high is not None and n > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {n}")
         return n
 
     bounded.__name__ = "int"  # argparse's "invalid int value" for a non-integer
@@ -347,26 +357,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="stratum census of random external points")
     sp.add_argument("--scroll", required=True)
-    sp.add_argument("--n", type=at_least(0), default=200)
+    sp.add_argument("--n", type=int_between(0), default=200)
     common(sp, DEFAULT_Q)
     sp.set_defaults(func=run_sample)
 
     sp = sub.add_parser("atlas", help="emit the Del Pezzo atlas with verification")
-    sp.add_argument("--max-deg", type=at_least(3), default=6)
-    sp.add_argument("--max-n", type=at_least(1), default=4)
-    sp.add_argument("--max-h", type=at_least(-1), default=1)
-    sp.add_argument("--verify-samples", type=at_least(0), default=50)
+    sp.add_argument("--max-deg", type=int_between(3, SIZE_MAX), default=6)
+    sp.add_argument("--max-n", type=int_between(1), default=4)
+    sp.add_argument("--max-h", type=int_between(-1, SIZE_MAX), default=1)
+    sp.add_argument("--verify-samples", type=int_between(0), default=50)
     common(sp, DEFAULT_Q)
     sp.set_defaults(func=run_atlas)
 
     sp = sub.add_parser("oracle-check", help="cross-validate against brute force")
     sp.add_argument("--scroll", required=True)
-    sp.add_argument("--n", type=at_least(0), default=25)
+    sp.add_argument("--n", type=int_between(0), default=25)
     sp.add_argument("--d", type=int, default=2, choices=(1, 2))
-    sp.add_argument("--budget", type=at_least(0), default=10**7)
+    sp.add_argument("--budget", type=int_between(0), default=10**7)
     common(sp, 7)
     sp.set_defaults(func=run_oracle_check)
     return parser
+
+
+# (error type, exit code, message prefix), the first match wins; every other
+# ScrollsecError, ScrollParseError included, is a usage error
+_ERROR_EXITS = (
+    (PointOnVarietyError, EXIT_ON_VARIETY, ""),
+    (BudgetExceededError, EXIT_BUDGET, ""),
+    (UnclassifiableSignatureError, EXIT_UNCLASSIFIABLE, "unclassifiable signature: "),
+    (InvariantError, EXIT_DISAGREEMENT, "internal invariant failed: "),
+    (ScrollsecError, EXIT_USAGE, ""),
+)
 
 
 def main(argv=None) -> int:
@@ -378,24 +399,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except ScrollParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except PointOnVarietyError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ON_VARIETY
-    except BudgetExceededError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_BUDGET
-    except UnclassifiableSignatureError as exc:
-        sys.stderr.write(f"error: unclassifiable signature: {exc}\n")
-        return EXIT_UNCLASSIFIABLE
-    except InvariantError as exc:
-        sys.stderr.write(f"error: internal invariant failed: {exc}\n")
-        return EXIT_DISAGREEMENT
     except ScrollsecError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        code, prefix = next((code, prefix) for kind, code, prefix in _ERROR_EXITS
+                            if isinstance(exc, kind))
+        sys.stderr.write(f"error: {prefix}{exc}\n")
+        return code
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from .exactfield import (
     rref,
     span_points,
 )
-from .scroll import ScrollSpec, contains, embed, random_scroll_point, scroll_literal, scroll_new
+from .scroll import ScrollSpec, _integer, contains, embed, random_scroll_point, scroll_literal, scroll_new
 from .secant import LOCUS_JUMP, SecantSignature, _analysis, validate_point
 
 __all__ = [
@@ -221,7 +221,9 @@ def atlas_enumerate(max_deg: int, max_n: int, max_h: int) -> list:
 
 
 def locus_member(entry_kind: str, spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
-    """Membership of an external point in an atlas locus."""
+    """Membership of an external point in an atlas locus; only "sec" refuses
+    a point of the scroll, since it reads the analysis."""
+    p = validate_point(spec, ctx, p)
     if entry_kind == "full":
         return True
     if entry_kind == "sec":
@@ -411,10 +413,11 @@ def veronese_classify(m, ctx: FieldCtx, h: int = -1):
     smooth-conic secant locus, which is always the maximal Del Pezzo case;
     rank 3 gives an empty locus.  The returned DepthReport follows the same
     vertex-lift rules as the scroll pipeline (the surface has dimension 2, so
-    the cone has dimension h + 3).  A vertex dimension below -1 raises
-    EmptyTypeError, and a matrix that is not 3x3 and symmetric mod q
-    DimensionMismatchError.
+    the cone has dimension h + 3).  A vertex dimension that is not an
+    integer >= -1 raises EmptyTypeError, and a matrix that is not 3x3 and
+    symmetric mod q DimensionMismatchError.
     """
+    h = _integer(h, "vertex dimension")
     if h < -1:
         raise EmptyTypeError("vertex dimension must be >= -1")
     if len(m) != 3 or any(len(row) != 3 for row in m) or any(

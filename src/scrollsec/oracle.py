@@ -75,13 +75,7 @@ from .exactfield import (
     span_points,
 )
 from .scroll import ScrollSpec, _embed_grid, _embed_rows, quadric_generators
-from .secant import (
-    _secant_rows,
-    base_field_point,
-    classify_signature,
-    classify_with_data,
-    reduced_point,
-)
+from .secant import _secant_rows, base_field_point, classify_signature, classify_with_data
 from .strata import MembershipReport, stratum_report
 
 __all__ = [
@@ -377,7 +371,8 @@ def brute_secant_locus(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**7):
     of the scroll; it must equal the fast path's union of ruling cuts over the
     same field.  p lies over GF(q) (`secant.base_field_point`).
     """
-    return {tuple(r) for r in _locus_array(spec, ctx, base_field_point(ctx, p), budget).tolist()}
+    p = base_field_point(spec, ctx, p)
+    return {tuple(r) for r in _locus_array(spec, ctx, p, budget).tolist()}
 
 
 def _locus_array(spec: ScrollSpec, ctx: FieldCtx, p, budget: int):
@@ -390,7 +385,7 @@ def brute_membership(
 ) -> MembershipReport:
     """Set memberships by exhaustive enumeration of the defining joins; p lies
     over GF(q) (`secant.base_field_point`)."""
-    p = base_field_point(ctx, p)
+    p = base_field_point(spec, ctx, p)
     table, (secant_mask, tangent_mask, _) = _masks(spec, ctx, p, budget)
     in_sec = bool((secant_mask & table.nonvertex).any())
     in_tan = bool((tangent_mask & table.nonvertex).any())
@@ -478,7 +473,7 @@ def check_lift_equalities(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**
     """
     import numpy as np
 
-    p = base_field_point(ctx, p)
+    p = base_field_point(spec, ctx, p)
     problems = []
     _, sec, _, _ = classify_with_data(spec, base_of(ctx), p)
     nv = spec.ambient + 1
@@ -493,7 +488,7 @@ def check_lift_equalities(spec: ScrollSpec, ctx: FieldCtx, p, budget: int = 10**
 
     if spec.h >= 0:
         spec0 = spec.base()
-        base_locus = _locus_array(spec0, ctx, reduced_point(spec, p), budget)
+        base_locus = _locus_array(spec0, ctx, p[spec.vertex_size:], budget)
         vs = spec.vertex_size
         zs = np.array(list(product(range(ctx.size), repeat=vs)), dtype=np.int64)
         joined = np.zeros((len(zs), len(base_locus), nv), dtype=np.int64)

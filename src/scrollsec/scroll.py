@@ -111,9 +111,22 @@ class ScrollSpec:
         return ScrollSpec(self.a, -1)
 
 
+def _integer(x, what: str) -> int:
+    """x as an int; a value that is not integral (1.5, "2", None) raises
+    EmptyTypeError, so no type is built from a truncated number."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise EmptyTypeError(f"{what} must be an integer, got {x!r}")
+
+
 def scroll_new(a, h: int = -1) -> ScrollSpec:
-    """Validate and build a scroll type; degrees sum must be at least 3."""
-    a = tuple(sorted(int(x) for x in a))
+    """Validate and build a scroll type; degrees sum must be at least 3, and
+    the degrees and h must be integers."""
+    a = tuple(sorted(_integer(x, "scroll degree") for x in a))
+    h = _integer(h, "vertex dimension")
     if not a:
         raise EmptyTypeError("scroll type needs at least one degree")
     if any(x < 1 for x in a):
@@ -244,13 +257,15 @@ def contains(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
     """True when every quadric generator vanishes at p."""
     if len(p) != spec.ambient + 1:
         raise DimensionMismatchError("point has the wrong number of coordinates")
-    if not any(p):
+    if not any(x % ctx.size for x in p):
         raise ZeroVectorError("zero vector is not a projective point")
     return all(not g.evaluate(p) for g in quadric_generators(spec, ctx))
 
 
 def _ruling_rows(spec: ScrollSpec, ctx: FieldCtx, x) -> list:
     """The vertex unit rows and the n block vectors v_i(x): a basis of the ruling."""
+    if not any(x):
+        raise ZeroVectorError("ruling needs (s,t) != (0,0)")
     rows = unit_rows(spec.ambient + 1, range(spec.vertex_size))
     for start, ai in zip(spec.block_starts, spec.a):
         e = [0] * (spec.ambient + 1)
@@ -261,9 +276,6 @@ def _ruling_rows(spec: ScrollSpec, ctx: FieldCtx, x) -> list:
 
 def ruling_subspace(spec: ScrollSpec, ctx: FieldCtx, x) -> LinearSubspace:
     """The ruling over x in P^1: span of the vertex and the n block vectors v_i(x)."""
-    s, t = x
-    if not s and not t:
-        raise ZeroVectorError("ruling needs (s,t) != (0,0)")
     return span_points(ctx, _ruling_rows(spec, ctx, x), spec.ambient)
 
 

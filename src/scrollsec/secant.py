@@ -37,8 +37,10 @@ C(d, 2) of its 2 x 2 minors, and x -> M(x) is linear and injective.
   So the secant locus is Sigma_p = X n L_p with L_p = <p, K> =
   {v : M(v) in gl2.P}.  Conversely every point of X n L_p passes the test,
   since on L_p the polar at p is trace A times the minors of P.
-* On L_p every minor restricts to Q_g(p) * det A.  So the nonzero generator
-  restrictions are proportional, and the check below that they are is a
+* On L_p every minor restricts to Q_g(p) * det A.  So the Gram matrix G_g of
+  generator g on the cone is exactly Q_g(p) / Q_g0(p) times G_g0, for g0 the
+  first generator with Q_g0(p) != 0; G_g0 is nonzero, since it takes the
+  value Q_g0(p) at p.  `_analysis` checks every G_g against that scale: a
   theorem, kept as a guard against a wrong generator list.
 * det is nonzero at A = I, that is at p.  Over the algebraic closure the
   zero set of a nonzero quadric on a projective space of dimension >= 1 spans
@@ -57,10 +59,14 @@ memberships A, B and U are closed forms of their own, and the brute-force
 oracle (`oracle.brute_membership`) decides all five memberships by exhaustive
 enumeration without using K.
 
-Each external point gets one analysis.  `classify_with_data` validates p and
-looks the analysis (signature, cone, quadric, kernel K) up in a small cache
-keyed on the validated point, so the stratum and Del Pezzo code read the
-solve that classification ran instead of running it again.
+Each point is checked once.  Every public function that takes p first runs
+`validate_point`, which checks its coordinates only.  Whether p lies on the
+scroll is decided where the generators are evaluated at p anyway: in the
+analysis, or in `_secant_rows` for the locus, the ruling cut and the brute
+scan.  `classify_with_data` looks the analysis (signature, cone, quadric,
+kernel K) up in a small cache keyed on the validated point, so the stratum
+and Del Pezzo code read the solve that classification ran, and a cache hit
+checks nothing again.
 """
 
 from __future__ import annotations
@@ -81,7 +87,6 @@ from .exactfield import (
     QForm,
     _dot,
     base_of,
-    normalize_point,
     pivot_rows,
     projective_points,
     qform_rank,
@@ -93,7 +98,6 @@ from .scroll import (
     ScrollSpec,
     _embed_grid,
     _ruling_rows,
-    contains,
     quadric_generators,
 )
 
@@ -165,12 +169,11 @@ def secant_pair_test(spec: ScrollSpec, ctx: FieldCtx, p, q) -> str:
     TangentContact both mean q lies on the secant locus of p; TangentContact
     means the line meets the scroll doubly at q itself.
     """
+    p, q = validate_point(spec, ctx, p), validate_point(spec, ctx, q)
     gens = quadric_generators(spec, ctx)
     a_vals = [g.evaluate(p) for g in gens]
     if not any(a_vals):
         raise PointOnVarietyError("p lies on the scroll")
-    if not any(q):
-        raise ZeroVectorError("q is the zero vector")
     if any(g.evaluate(q) for g in gens):
         return NOT_ON_X
     b_vals = [_dot(ctx, g.polar(p), q) for g in gens]
@@ -191,24 +194,15 @@ def secant_pair_test(spec: ScrollSpec, ctx: FieldCtx, p, q) -> str:
 # ---------------------------------------------------------------------------
 
 
-def base_field_point(ctx: FieldCtx, p) -> tuple:
-    """p reduced mod the field size, as a tuple, checked to lie over GF(q):
-    the secant covectors come from the generators over GF(q), which would read
-    a coordinate outside GF(q) mod q, so such a p raises DimensionMismatchError.
+def base_field_point(spec: ScrollSpec, ctx: FieldCtx, p) -> tuple:
+    """`validate_point` of p, checked to lie over GF(q): the secant covectors
+    come from the generators over GF(q), which would read a coordinate
+    outside GF(q) mod q, so such a p raises DimensionMismatchError.
     """
-    size = ctx.size
-    p = tuple([x % size for x in p])
-    if size != ctx.q and max(p, default=0) >= ctx.q:
+    p = validate_point(spec, ctx, p)
+    if ctx.d != 1 and max(p) >= ctx.q:
         raise DimensionMismatchError("p needs coordinates in GF(q)")
     return p
-
-
-def reduced_point(spec: ScrollSpec, p):
-    """Delete the vertex coordinates of p; must leave a nonzero vector."""
-    pbar = tuple(p[spec.vertex_size:])
-    if not any(pbar):
-        raise PointOnVarietyError("p lies in the vertex of the scroll")
-    return pbar
 
 
 @lru_cache(maxsize=16)
@@ -219,10 +213,11 @@ def _secant_rows(gens: tuple, p: tuple):
     first i with A_i = Q_i(p) != 0) stacked above the polar covectors 2 p G_i.
 
     The secant rows cut the secant locus out of every ruling; the brute pair
-    scan (`oracle._pair_data`) tests table rows against both blocks.  The
-    fast path asks with the base generators and the reduced point, the brute
-    scan with the cone generators and the whole point, so on a smooth scroll
-    they share one entry, as the GF(q) and GF(q^2) scans of a point do.
+    scan (`oracle._pair_data`) tests table rows against both blocks.  A p of
+    the scroll, where every generator vanishes, raises PointOnVarietyError.
+    The fast path asks with the base generators and the reduced point, the
+    brute scan with the cone generators and the whole point, so on a smooth
+    scroll they share one entry, as the GF(q) and GF(q^2) scans of a point do.
     """
     import numpy as np
 
@@ -299,16 +294,12 @@ def fiber_secant_space(spec: ScrollSpec, ctx: FieldCtx, p, x) -> LinearSubspace:
     """
     import numpy as np
 
-    p = base_field_point(ctx, p)
+    p = base_field_point(spec, ctx, p)
     if ctx.q >= 1 << 26:
         raise BudgetExceededError("fiber_secant_space needs q < 2^26")
-    if contains(spec, ctx, p):
-        raise PointOnVarietyError("p lies on the scroll")
-    s, t = x
-    if not s and not t:
-        raise ZeroVectorError("ruling needs (s,t) != (0,0)")
     spec0 = spec.base()
-    cov, n = _secant_rows(quadric_generators(spec0, base_of(ctx)), reduced_point(spec, p))
+    # raises PointOnVarietyError when p lies on the scroll
+    cov, n = _secant_rows(quadric_generators(spec0, base_of(ctx)), p[spec.vertex_size:])
     blocks = _ruling_rows(spec0, ctx, x)
     fiber = [[_dot(ctx, w, v) for v in blocks] for w in cov[:n].tolist()]
     rows = _lift_rows(spec, _fiber_kernel_vectors(ctx, fiber, np.array(blocks, dtype=np.int64)))
@@ -319,15 +310,16 @@ def fiber_secant_space(spec: ScrollSpec, ctx: FieldCtx, p, x) -> LinearSubspace:
 
 
 def validate_point(spec: ScrollSpec, ctx: FieldCtx, p) -> tuple:
-    """p with coordinates reduced mod the field size, as a tuple, checked to
-    lie off the scroll.
-
-    A wrong number of coordinates raises DimensionMismatchError, the zero
-    vector ZeroVectorError and a point of the scroll PointOnVarietyError.
+    """p with coordinates reduced mod the field size, as a tuple.  A wrong
+    number of coordinates raises DimensionMismatchError and the zero vector
+    ZeroVectorError; points of the scroll pass (see the module docstring).
     """
-    p = tuple(x % ctx.size for x in p)
-    if contains(spec, ctx, p):
-        raise PointOnVarietyError("p lies on the scroll")
+    if len(p) != spec.ambient + 1:
+        raise DimensionMismatchError("point has the wrong number of coordinates")
+    size = ctx.size
+    p = tuple([x % size for x in p])
+    if not any(p):
+        raise ZeroVectorError("zero vector is not a projective point")
     return p
 
 
@@ -338,7 +330,7 @@ def classify_with_data(spec: ScrollSpec, ctx: FieldCtx, p):
     reduced point, a subspace of the base scroll's ambient space (see the
     module docstring).  Validates p, then reads the analysis from a cache
     keyed on the validated point; every other public view of the secant locus
-    goes through here.
+    goes through here.  A point of the scroll raises PointOnVarietyError.
     """
     return _analysis(spec, ctx, validate_point(spec, ctx, p))
 
@@ -346,45 +338,38 @@ def classify_with_data(spec: ScrollSpec, ctx: FieldCtx, p):
 @lru_cache(maxsize=64)
 def _analysis(spec: ScrollSpec, ctx: FieldCtx, p: tuple):
     spec0 = spec.base()
-    pbar = reduced_point(spec, p)
+    pbar = p[spec.vertex_size:]
     gens0 = quadric_generators(spec0, ctx)
+    # p lies on the scroll, or in its vertex (pbar = 0), iff every Q_g(pbar) = 0
+    a_vals = [g.evaluate(pbar) for g in gens0]
+    i0 = next((i for i, a in enumerate(a_vals) if a), None)
+    if i0 is None:
+        raise PointOnVarietyError("p lies on the scroll")
     nv0 = spec0.ambient + 1
     _, _, kernel = row_reduce(ctx, [g.polar(pbar) for g in gens0], nv0)
     polar_kernel = LinearSubspace(ctx, spec0.ambient, tuple(kernel))
     _, ech = rref(ctx, [pbar] + kernel, nv0)
     sec0 = LinearSubspace(ctx, spec0.ambient, tuple(ech))
 
-    # the hyperquadric: all nonzero generator restrictions agree up to scale
-    quadric0 = None
-    norm_ref = None
-    for g in gens0:
-        rg = g.restrict(sec0)
-        flat = [x for row in rg.gram for x in row]
-        if not any(flat):
-            continue
-        norm = normalize_point(ctx, flat)
-        if norm_ref is None:
-            quadric0, norm_ref = rg, norm
-        elif norm != norm_ref:
+    # the hyperquadric: the Gram matrix of each generator on the cone is
+    # exactly Q_g(pbar) / Q_g0(pbar) times that of g0, so zero where Q_g(pbar) is
+    grams = [g.restrict(sec0).gram for g in gens0]
+    quadric0 = grams[i0]
+    flat0 = [x for row in quadric0 for x in row]
+    mul, inv0 = ctx.mul, ctx.inv(a_vals[i0])
+    for a, gram in zip(a_vals, grams):
+        c = mul(a, inv0)
+        scaled = [mul(c, x) for x in flat0] if c else [0] * len(flat0)
+        if [x for row in gram for x in row] != scaled:
             raise UnclassifiableSignatureError(
                 "generator restrictions to the secant cone are not proportional"
             )
-    if quadric0 is None:
-        raise UnclassifiableSignatureError(
-            "every generator vanishes on the secant cone"
-        )
 
-    sec_rows = _lift_rows(spec, sec0.rows)
-    sec = LinearSubspace(ctx, spec.ambient, tuple(sec_rows))
-
-    # lifted Gram: zero on the vertex block, quadric0 on the base block
+    sec = LinearSubspace(ctx, spec.ambient, tuple(_lift_rows(spec, sec0.rows)))
+    # lifted Gram: the base Gram padded with zeros on the vertex block
     vs = spec.vertex_size
-    k = len(sec_rows)
-    gram = [[0] * k for _ in range(k)]
-    for i in range(len(sec0.rows)):
-        for j in range(len(sec0.rows)):
-            gram[vs + i][vs + j] = quadric0.gram[i][j]
-    quadric = QForm(ctx, k, tuple(tuple(r) for r in gram))
+    k = vs + len(quadric0)
+    quadric = QForm(ctx, k, ((0,) * k,) * vs + tuple((0,) * vs + row for row in quadric0))
 
     h = spec.h
     s = sec.pdim - h - 1
@@ -446,10 +431,10 @@ def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**
     """
     import numpy as np
 
+    p = base_field_point(spec, ctx_d, p)
     spec0 = spec.base()
-    pbar = reduced_point(spec, base_field_point(ctx_d, p))
     # raises PointOnVarietyError when p lies on the scroll
-    cov, n = _secant_rows(quadric_generators(spec0, base_of(ctx_d)), pbar)
+    cov, n = _secant_rows(quadric_generators(spec0, base_of(ctx_d)), p[spec.vertex_size:])
     size = ctx_d.size
     est = (size + 1) * max(1, size ** (spec.dim - 1))
     if est > budget:

@@ -15,9 +15,11 @@ the case analysis.  The B test deserves a note: the join of the degree-1
 sub-scroll with the whole scroll is the union over rulings of the spans of a
 line of the sub-scroll with the ruling, and a point lies in such a span exactly
 when each of its nonzero blocks of degree >= 2 is proportional to the moment
-vector of one common ruling.  The degree-1 blocks are unconstrained.  That
-closed form is a derived fact, not an assumption; the brute-force oracle
-checks it over small fields.
+vector of one common ruling.  The degree-1 blocks are unconstrained; with
+none, the join and the test are those of the scroll itself.  That closed form
+is a derived fact, not an assumption; the brute-force oracle checks it over
+small fields.  Every test checks the coordinates of p first
+(`secant.validate_point`); A, B and U answer for points of the scroll too.
 
 Tan and Sec are read from the polar kernel K of the one cached secant
 analysis of p (`secant.classify_with_data`, whose docstring proves both
@@ -38,12 +40,7 @@ from dataclasses import dataclass
 
 from .exactfield import FieldCtx
 from .scroll import ScrollSpec, contains
-from .secant import (
-    _analysis,
-    classify_with_data,
-    reduced_point,
-    validate_point,
-)
+from .secant import _analysis, classify_with_data, validate_point
 
 __all__ = [
     "MembershipReport",
@@ -77,6 +74,7 @@ def _block_slices(spec: ScrollSpec, degree_min: int, degree_max: int):
 
 def member_A(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
     """p lies in the span of the vertex and the degree-1 blocks."""
+    p = validate_point(spec, ctx, p)
     for _, start, ai in _block_slices(spec, 2, 10**9):
         if any(p[start + j] for j in range(ai + 1)):
             return False
@@ -90,6 +88,7 @@ def member_U(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
     coordinate matrix must have rank <= 1 (the conic planes sweep a Segre
     variety).  With no degree-2 blocks this degenerates to membership in A.
     """
+    p = validate_point(spec, ctx, p)
     for _, start, ai in _block_slices(spec, 3, 10**9):
         if any(p[start + j] for j in range(ai + 1)):
             return False
@@ -121,11 +120,8 @@ def member_B(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
     Exact over the algebraic closure: the witness ruling, when one exists, can
     be read off rationally from consecutive coordinate ratios of p.
     """
-    pbar = reduced_point(spec, p)
+    pbar = validate_point(spec, ctx, p)[spec.vertex_size:]
     spec0 = spec.base()
-    if spec.k == 0:
-        # no degree-1 blocks: the join degenerates to the scroll itself
-        return contains(spec0, ctx, pbar)
     x = None
     for _, start, ai in _block_slices(spec0, 2, 10**9):
         block = tuple(pbar[start + j] for j in range(ai + 1))
@@ -178,8 +174,8 @@ def member_secant_variety(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
 def stratum_geometric(spec: ScrollSpec, ctx: FieldCtx, p) -> MembershipReport:
     """Stratum of p from the set memberships alone, plus the agreement flag.
 
-    p is validated once; Tan, Sec and the signature are read from its one
-    cached analysis.
+    Tan, Sec and the signature are read from the one cached analysis of p,
+    which also refuses a point of the scroll.
     """
     p = validate_point(spec, ctx, p)
     sig, _, _, kernel = _analysis(spec, ctx, p)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from scrollsec import delpezzo
+from scrollsec import ScrollsecError, cli, delpezzo, parse_scroll
 from scrollsec.cli import main
 
 
@@ -287,3 +287,135 @@ def test_determinism_byte_identical(capsys, tmp_path):
     run_cli(capsys, *args, "--out", str(p1))
     run_cli(capsys, *args, "--out", str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--scroll", "S(100000)", "--point", "1,0", "--q", "7"],
+    ["sample", "--scroll", "S(1,64)", "--n", "1"],
+    ["sample", "--scroll", "S(3)+cone(65)", "--n", "1"],
+    ["oracle-check", "--scroll", "S(30,35)", "--q", "3", "--n", "1"],
+])
+def test_scrolls_past_the_size_bound_are_usage_errors(capsys, argv):
+    # S(100000) would ask for C(100000, 2) quadric generators
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert f"<= {cli.SIZE_MAX}" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--max-deg", "--max-h"])
+def test_atlas_bounds_past_the_size_bound_are_usage_errors(capsys, flag):
+    # atlas_enumerate is cubic in --max-deg
+    value = str(cli.SIZE_MAX + 1)
+    code = main(["atlas", "--verify-samples", "0", flag, value])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert f"must be <= {cli.SIZE_MAX}, got {value}" in captured.err
+
+
+def test_the_size_bound_itself_is_accepted(capsys):
+    code = main(["sample", "--scroll", f"S(1,{cli.SIZE_MAX - 1})+cone(1)", "--n", "1"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["result"]["agreement_failures"] == 0
+
+
+# the exit codes the module docstring and the README document
+DOCUMENTED_EXITS = {0, 2, 3, 64, 65, 66}
+
+
+def _fuzz_scroll(rng):
+    """A scroll literal: mostly small valid ones, else huge or malformed."""
+    kind = rng.random()
+    if kind < 0.75:
+        a = rng.choice(["3", "4", "1,2", "1,3", "2,2", "1,1,1", "1,1,2", "2,3", "1,2,2"])
+        return f"S({a})" + rng.choice(["", "", "+cone(0)", "+cone(1)", "+cone(-1)"])
+    if kind < 0.85:
+        return rng.choice([
+            f"S({10 ** rng.randint(2, 9)})", f"S(1,{cli.SIZE_MAX})",
+            f"S(3)+cone({10 ** rng.randint(2, 12)})", "S(" + ",".join(["1"] * 70) + ")",
+        ])
+    return rng.choice([
+        "", "S()", "S(1,2", "S(0,3)", "S(-1,4)", "S(1.5,2)", "T(1,2)", "S(1,1)",
+        "S(1,2)+cone(-2)", "S(1,2)+cone()", "S(1, 2)", " S(3) ", "S(3)+cone(0)x",
+        "".join(rng.choice("S(),+cone0123456789-") for _ in range(rng.randint(1, 12))),
+    ])
+
+
+def _fuzz_q(rng, primes):
+    """Mostly one of primes; else composite, 2, non-positive or huge."""
+    if rng.random() < 0.75:
+        return str(rng.choice(primes))
+    return str(rng.choice([0, 1, -7, 2, 9, 15, 10007 * 3, 2**89 - 1, 10**30]))
+
+
+def _fuzz_count(rng, high):
+    return str(rng.randint(0, high) if rng.random() < 0.85 else rng.choice([-1, -10**9]))
+
+
+def _fuzz_point(rng, scroll):
+    """Coordinates of the scroll's length when it parses, sometimes the first
+    unit vector, which lies on every scroll; else any length or malformed.
+    A literal past the size bound gets a short point: the CLI refuses it."""
+    try:
+        nv = min(parse_scroll(scroll).ambient + 1, rng.randint(0, 9) + 12)
+    except ScrollsecError:
+        nv = rng.randint(0, 9)
+    kind = rng.random()
+    if kind < 0.2:
+        return ",".join(["1"] + ["0"] * (nv - 1))
+    if kind < 0.8:
+        return ",".join(str(rng.choice([0, 1, -1, rng.randint(-50, 50), 10**20])) for _ in range(nv))
+    return rng.choice(["", " ", "1,,2", "a,1", "1,2,", ",".join(["0"] * nv), "1," * rng.randint(0, 9) + "1"])
+
+
+def _fuzz_argv(rng):
+    command = rng.choice(["classify"] * 4 + ["sample", "sample", "atlas", "atlas",
+                                             "oracle-check", "oracle-check", "bogus"])
+    if command == "classify":
+        scroll = _fuzz_scroll(rng)
+        # "--point -1,..." would read as an option
+        argv = [command, "--scroll", scroll, "--point=" + _fuzz_point(rng, scroll),
+                "--q", _fuzz_q(rng, [3, 5, 7, 11, 10007, 2**61 - 1])]
+    elif command == "sample":
+        argv = [command, "--scroll", _fuzz_scroll(rng), "--n", _fuzz_count(rng, 3),
+                "--q", _fuzz_q(rng, [3, 5, 7, 11, 10007, 2**61 - 1])]
+    elif command == "atlas":
+        argv = [command, "--verify-samples", _fuzz_count(rng, 1),
+                "--q", _fuzz_q(rng, [5, 7, 11, 10007]),
+                "--max-deg", str(rng.choice([3, 4, 5, 2, cli.SIZE_MAX + 1, 10**9])),
+                "--max-n", str(rng.choice([1, 2, 10**9, 0])),
+                "--max-h", str(rng.choice([-1, 0, -2, cli.SIZE_MAX + 1, 10**9]))]
+    elif command == "oracle-check":
+        argv = [command, "--scroll", _fuzz_scroll(rng), "--n", _fuzz_count(rng, 2),
+                "--q", _fuzz_q(rng, [3, 5, 7, 101]), "--d", str(rng.choice([1, 2, 2, 2, 0])),
+                "--budget", rng.choice(["0", "50", "3000", "-1"])]
+    else:
+        argv = [command]
+    if rng.random() < 0.2:
+        argv += ["--seed", str(rng.choice([-5, 0, 10**30]))]
+    if rng.random() < 0.05:
+        argv.append(rng.choice(["--frobnicate", "--q", "--n=x"]))
+    return argv
+
+
+def test_cli_fuzz_exits_with_a_documented_code(capsys):
+    """Seeded random argument lists, malformed and oversized ones among them,
+    run in process: each returns a documented exit code and none raises."""
+    import random
+
+    rng = random.Random(2026)
+    seen = set()
+    for _ in range(400):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except Exception as exc:  # noqa: BLE001 - the failure names the input
+            pytest.fail(f"{argv} raised {type(exc).__name__}: {exc}")
+        capsys.readouterr()
+        assert code in DOCUMENTED_EXITS, argv
+        seen.add(code)
+    # the generator reaches success, usage errors, points on the scroll and
+    # tables over budget
+    assert {0, 64, 65, 66} <= seen

@@ -330,6 +330,12 @@ def test_veronese_rejects_a_vertex_dimension_below_minus_one(f7):
         veronese_classify([[1, 0, 0], [0, 1, 0], [0, 0, 0]], f7, h=-3)
 
 
+def test_veronese_rejects_a_non_integral_vertex_dimension(f7):
+    # before, h = 0.5 returned depth 4.5
+    with pytest.raises(EmptyTypeError, match="must be an integer"):
+        veronese_classify([[1, 0, 0], [0, 1, 0], [0, 0, 0]], f7, h=0.5)
+
+
 @pytest.mark.parametrize("m", [
     [[1, 2, 0], [0, 1, 0], [0, 0, 0]],
     [[1, 0], [0, 1]],

@@ -5,6 +5,7 @@ import pytest
 from scrollsec import (
     CodimTooSmallError,
     DimensionMismatchError,
+    EmptyTypeError,
     ScrollParseError,
     ScrollPoint,
     VertexPointError,
@@ -56,6 +57,23 @@ def test_base_of_a_cone_is_one_cached_instance():
 def test_scroll_new_rejects_small_degree():
     with pytest.raises(CodimTooSmallError):
         scroll_new([1, 1])
+
+
+@pytest.mark.parametrize("a,h", [
+    ([1.5, 2], -1),
+    ([1, 2], 0.5),
+    (["2", 1], -1),
+    ([1, 2], None),
+])
+def test_scroll_new_rejects_non_integral_degrees_and_vertex(a, h):
+    # before, int() truncated 1.5 to S(1,2) and h = 0.5 gave ambient 5.5
+    with pytest.raises(EmptyTypeError, match="must be an integer"):
+        scroll_new(a, h)
+
+
+def test_scroll_new_accepts_integral_floats():
+    spec = scroll_new([2.0, 1], 0.0)
+    assert spec == scroll_new([1, 2], 0) and spec.ambient == 5
 
 
 def test_minimal_degree_identity():

@@ -511,8 +511,9 @@ def test_one_point_cuts_take_no_packed_array_products(monkeypatch, f7, s3):
 
 def test_analysis_refuses_non_proportional_generator_restrictions(monkeypatch, f7):
     """The proportionality guard: with the last minor replaced by a binomial
-    that is not a minor, the restrictions to the secant cone disagree (or all
-    vanish), and the analysis raises instead of picking one."""
+    that is not a minor, the restrictions to the secant cone are not the
+    scale Q_g(p) / Q_g0(p) of one Gram matrix, and the analysis raises instead
+    of picking one; a list that vanishes at p declares p a point of the scroll."""
     from scrollsec import secant
     from scrollsec.exactfield import Binomial
 
@@ -531,7 +532,7 @@ def test_analysis_refuses_non_proportional_generator_restrictions(monkeypatch, f
             with pytest.raises(UnclassifiableSignatureError, match="are not proportional"):
                 classify_with_data(spec, f7, p)
         p = external_points(scroll_new([1, 2]), f7, 1, 8)[7]
-        with pytest.raises(UnclassifiableSignatureError, match="every generator vanishes"):
+        with pytest.raises(PointOnVarietyError):
             classify_with_data(scroll_new([1, 2]), f7, p)
     finally:
         # analyses made with the tampered generators must not outlive the test
@@ -563,3 +564,101 @@ def test_classification_path_does_not_load_numpy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+# Every public function that takes a point p checks its coordinates first
+# (`validate_point`): a wrong length raises DimensionMismatchError and the zero
+# vector ZeroVectorError.  Each row says how a function is called around p,
+# whether it answers for points of the scroll (its vertex included) instead
+# of raising PointOnVarietyError, and whether p must lie over GF(q).
+_POINT_CONTRACT = [
+    # (name, arguments before p, arguments after p, answers on X, GF(q) only)
+    ("contains", (), (), True, False),
+    ("validate_point", (), (), True, False),
+    ("member_A", (), (), True, False),
+    ("member_B", (), (), True, False),
+    ("member_U", (), (), True, False),
+    ("locus_member", ("full",), (), True, False),
+    ("locus_member", ("A",), (), True, False),
+    ("locus_member", ("B",), (), True, False),
+    ("locus_member", ("U",), (), True, False),
+    ("locus_member", ("sec",), (), False, False),
+    ("secant_pair_test", (), ((0, 1, 0, 0, 0, 0),), False, False),
+    ("classify_signature", (), (), False, False),
+    ("classify_with_data", (), (), False, False),
+    ("member_tangent", (), (), False, False),
+    ("member_secant_variety", (), (), False, False),
+    ("stratum_geometric", (), (), False, False),
+    ("project", (), (), False, False),
+    ("fiber_secant_space", (), ((1, 2),), False, True),
+    ("secant_locus_points", (), (), False, True),
+    ("brute_secant_locus", (), (), False, True),
+    ("brute_membership", (), (), False, True),
+    ("check_lift_equalities", (), (), False, True),
+]
+
+# S(1,2)+cone(0) over GF(5): six coordinates, the vertex first
+_CONTRACT_CASES = {
+    "zero": ((0,) * 6, ZeroVectorError),
+    "zero_mod_q": ((5, 0, 10, 0, 0, -5), ZeroVectorError),
+    "short": ((1, 2, 3, 4, 1), DimensionMismatchError),
+    "long": ((1, 2, 3, 4, 1, 2, 3), DimensionMismatchError),
+    # z = 3 over the ruling (1:2) with fiber (1, 1): (3, 1, 2, 1, 2, 4)
+    "on_X": ((3, 1, 2, 1, 2, 4), None),
+    "vertex": ((2, 0, 0, 0, 0, 0), None),
+}
+
+
+def _public_point_functions():
+    """Every function in a module's `__all__` with a parameter named p."""
+    import inspect
+
+    from scrollsec import delpezzo, oracle, scroll, secant, strata
+
+    found = {}
+    for module in (scroll, secant, strata, delpezzo, oracle):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) and "p" in inspect.signature(obj).parameters:
+                found[name] = obj
+    return found
+
+
+def test_the_point_contract_covers_every_public_function_with_a_point():
+    assert set(_public_point_functions()) == {row[0] for row in _POINT_CONTRACT}
+
+
+def _contract_id(row):
+    return row[0] + (f"[{row[1][0]}]" if row[1] else "")
+
+
+@pytest.mark.parametrize("case", sorted(_CONTRACT_CASES))
+@pytest.mark.parametrize("row", _POINT_CONTRACT, ids=_contract_id)
+def test_every_entry_point_checks_p_the_same_way(row, case):
+    """Zero, short and long points raise the coordinate errors everywhere; a
+    point of the scroll and a vertex point raise PointOnVarietyError except
+    in the functions that answer for them."""
+    name, before, after, answers_on_x, _ = row
+    func = _public_point_functions()[name]
+    spec, f5 = scroll_new([1, 2], 0), field_make(5, 1)
+    p, error = _CONTRACT_CASES[case]
+    if error is None and not answers_on_x:
+        error = PointOnVarietyError
+    if case == "on_X":
+        assert contains(spec, f5, p)
+    if error is None:
+        func(*before, spec, f5, p, *after)
+    else:
+        with pytest.raises(error):
+            func(*before, spec, f5, p, *after)
+
+
+@pytest.mark.parametrize("row", [row for row in _POINT_CONTRACT if row[4]], ids=_contract_id)
+def test_base_field_entry_points_refuse_a_point_outside_gf_q(row):
+    """The functions that read p through the generators over GF(q) refuse a
+    packed GF(25) coordinate, here w = 5, even when they enumerate GF(25)."""
+    name, before, after, _, _ = row
+    func = _public_point_functions()[name]
+    spec, f25 = scroll_new([1, 2], 0), field_make(5, 2)
+    with pytest.raises(DimensionMismatchError, match="GF\\(q\\)"):
+        func(*before, spec, f25, (0, 1, 0, 5, 0, 1), *after)
