@@ -43,7 +43,7 @@ from .errors import (
 from .exactfield import field_make, normalize_point
 from .oracle import brute_membership, brute_secant_locus, check_lift_equalities
 from .scroll import parse_scroll, scroll_literal
-from .secant import classify_with_data, secant_locus_points
+from .secant import SIGNATURE_TABLE, classify_with_data, secant_locus_points
 from .strata import stratum_geometric
 
 EXIT_OK = 0
@@ -165,8 +165,7 @@ def run_sample(args) -> int:
     spec = _parse_scroll(args.scroll)
     ctx = field_make(args.q, 1)
     rng = random.Random(args.seed)
-    census = {label: 0 for label in
-              ("Empty2Z", "TwoPoints", "DoublePoint", "TwoLines", "Conic", "QuadricSurface")}
+    census = dict.fromkeys(SIGNATURE_TABLE.values(), 0)
     disagreements = 0
     unclassifiable = 0
     for _ in range(args.n):
@@ -391,6 +390,12 @@ _ERROR_EXITS = (
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a point literal such as -1,0,0,1 as an option unless joined
+    for i in range(len(argv) - 1, 0, -1):
+        flag, value = argv[i - 1], argv[i]
+        if len(flag) > 2 and "--point".startswith(flag) and value[:1] == "-" and value[1:2].isdigit():
+            argv[i - 1:i + 1] = [f"{flag}={value}"]
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

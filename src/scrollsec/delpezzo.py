@@ -38,7 +38,7 @@ from .exactfield import (
     span_points,
 )
 from .scroll import ScrollSpec, _integer, contains, embed, random_scroll_point, scroll_literal, scroll_new
-from .secant import LOCUS_JUMP, SecantSignature, _analysis, validate_point
+from .secant import SIGNATURE_TABLE, SecantSignature, _analysis, validate_point
 
 __all__ = [
     "DepthReport",
@@ -111,6 +111,8 @@ class AtlasEntry:
     locus: str
 
 
+# the atlas loci, the points of X removed; `locus_member` answers for the
+# closed set, the text without "\ X", except that "sec" refuses a point of X
 _LOCUS_TEXT = {
     "full": "ambient \\ X",
     "sec": "Join(Vert, Sec(base)) \\ X",
@@ -181,16 +183,17 @@ def atlas_enumerate(max_deg: int, max_n: int, max_h: int) -> list:
 
     Only types of at most 3 blocks are walked.  A point is maximally Del
     Pezzo when its locus jump j (locus dimension minus h) equals n, and j is
-    a value of LOCUS_JUMP, at most 3.  So no point of a type with n >= 4
-    blocks qualifies: `atlas_case_for` and `_derived_locus_kind` both return
-    None there, and such a type never has an entry.  The walk over the
-    C(max_deg, n) degree tuples therefore stops at n = min(max_n, 3)."""
+    the s of its signature in SIGNATURE_TABLE, at most 3.  So no point of a
+    type with n >= 4 blocks qualifies: `atlas_case_for` and
+    `_derived_locus_kind` both return None there, and such a type never has
+    an entry.  The walk over the C(max_deg, n) degree tuples therefore stops
+    at n = min(max_n, 3)."""
     if max_deg < 3 or max_n < 1 or max_h < -1:
         raise EmptyTypeError(
             f"atlas bounds max_deg={max_deg}, max_n={max_n}, max_h={max_h} admit no scroll"
         )
     entries = []
-    for n in range(1, min(max_n, max(LOCUS_JUMP.values())) + 1):
+    for n in range(1, min(max_n, max(s for s, _ in SIGNATURE_TABLE)) + 1):
         # nondecreasing degree tuples; a degree above max_deg - (n - 1) would
         # leave the other n - 1 blocks less than degree 1 each
         for a in combinations_with_replacement(range(1, max_deg - n + 2), n):
@@ -221,8 +224,10 @@ def atlas_enumerate(max_deg: int, max_n: int, max_h: int) -> list:
 
 
 def locus_member(entry_kind: str, spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
-    """Membership of an external point in an atlas locus; only "sec" refuses
-    a point of the scroll, since it reads the analysis."""
+    """Membership of p in the closure of an atlas locus, its `_LOCUS_TEXT`
+    set before X is removed: on a point of X "full" is True, "A", "B" and
+    "U" answer as `member_A/B/U`, and "sec", which reads the analysis,
+    raises PointOnVarietyError."""
     p = validate_point(spec, ctx, p)
     if entry_kind == "full":
         return True
@@ -410,12 +415,12 @@ def veronese_classify(m, ctx: FieldCtx, h: int = -1):
     """Classify a symmetric 3x3 matrix point: OnVariety / Conic / Empty.
 
     Rank 1 is a point of the (cone over the) Veronese surface; rank 2 gives a
-    smooth-conic secant locus, which is always the maximal Del Pezzo case;
-    rank 3 gives an empty locus.  The returned DepthReport follows the same
-    vertex-lift rules as the scroll pipeline (the surface has dimension 2, so
-    the cone has dimension h + 3).  A vertex dimension that is not an
-    integer >= -1 raises EmptyTypeError, and a matrix that is not 3x3 and
-    symmetric mod q DimensionMismatchError.
+    smooth-conic secant locus (locus jump j = 2), which is always the maximal
+    Del Pezzo case; rank 3 gives an empty locus (j = 0).  The DepthReport
+    follows the scroll pipeline: depth h + j + 2, ACM iff j = 2, linearly
+    normal unless j = 0 on the smooth surface.  A vertex dimension that is
+    not an integer >= -1 raises EmptyTypeError, and a matrix that is not 3x3
+    and symmetric mod q DimensionMismatchError.
     """
     h = _integer(h, "vertex dimension")
     if h < -1:
@@ -429,26 +434,13 @@ def veronese_classify(m, ctx: FieldCtx, h: int = -1):
     rank = sym3_rank(ctx, m)
     if rank == 1:
         return "OnVariety", None
-    dim_cone = h + 3
-    if rank == 2:
-        locus_dim = h + 2
-        depth = locus_dim + 2
-        return "Conic", DepthReport(
-            depth=depth,
-            acm=depth == dim_cone + 1,
-            j=2,
-            del_pezzo_case="veronese",
-            linearly_normal=True,
-        )
-    locus_dim = h  # the doubled vertex only
-    depth = locus_dim + 2
-    smooth = h == -1
-    return "Empty", DepthReport(
-        depth=depth,
-        acm=False,
-        j=0,
-        del_pezzo_case="none",
-        linearly_normal=not smooth,
+    j = 2 if rank == 2 else 0
+    return "Conic" if j else "Empty", DepthReport(
+        depth=h + j + 2,
+        acm=j == 2,
+        j=j,
+        del_pezzo_case="veronese" if j else "none",
+        linearly_normal=not (h == -1 and j == 0),
     )
 
 

@@ -10,7 +10,7 @@ the computation moves into the extension.
 The arithmetic of `FieldCtx` is written once for both kinds of operand:
 `add`, `sub`, `neg` and `mul` also take int64 numpy arrays of packed
 elements (any shapes that broadcast) and return arrays.  `inv` takes scalars
-only; `inverse_array` is its lookup table for arrays.
+only; `normalize_rows` divides arrays, through discrete log tables.
 
 Matrices are lists (or tuples) of equal-length coordinate tuples.  Projective
 linear subspaces are kept in reduced row-echelon form, which makes subspace
@@ -56,7 +56,6 @@ __all__ = [
     "QForm",
     "Binomial",
     "qform_rank",
-    "inverse_array",
     "normalize_rows",
     "pivot_rows",
 ]
@@ -107,7 +106,7 @@ class FieldCtx:
        GF(q)[w]/(w^2 - c)); 0 for d = 1.
 
     add, sub, neg and mul accept packed ints or int64 arrays of packed
-    elements; inv accepts ints only (use `inverse_array` for arrays).
+    elements; inv accepts ints only (`normalize_rows` divides arrays).
     """
 
     q: int
@@ -558,19 +557,9 @@ def qform_rank(form: QForm) -> int:
 #
 # The brute-force oracle and the secant-locus enumeration work on whole tables
 # of packed elements at once, with the `FieldCtx` operations applied to int64
-# numpy arrays.  The helpers below add what those lack: inverses, discrete
-# logarithms and batched elimination.  numpy is imported only where a function
-# builds an array itself, so the classification path never loads it.
-
-
-@lru_cache(maxsize=8)
-def inverse_array(ctx: FieldCtx):
-    """Read-only lookup table of inverses indexed by packed element; 0 maps to 0."""
-    import numpy as np
-
-    table = np.array([0] + [ctx.inv(a) for a in range(1, ctx.size)], dtype=np.int64)
-    table.flags.writeable = False
-    return table
+# numpy arrays.  The helpers below add what those lack: division through
+# discrete logarithms and batched elimination.  numpy is imported only where a
+# function builds an array itself, so the classification path never loads it.
 
 
 @lru_cache(maxsize=8)
@@ -652,14 +641,14 @@ def pivot_rows(ctx: FieldCtx, mats):
     updates nothing.  No rows are swapped, and a pivot only changes the rows
     below it, so a row is picked exactly when it is not in the span of the
     rows above it: the pivot rows of a matrix are the first basis of its row
-    space among its own rows, and their number is its rank.  The stack is
-    copied, and the inverse table looked up, only once a column right of a
-    pivot remains to be updated, so a single-column rank test does neither.
+    space among its own rows, and their number is its rank.  The pivot entry
+    leads its row from its column on, so `normalize_rows` divides by it; the
+    stack is copied only once a column right of a pivot remains to update.
     """
     import numpy as np
 
     cols = mats.shape[2]
-    work, inv = mats, None
+    work = mats
     picked = np.zeros(mats.shape[:2], dtype=bool)
     for col in range(cols):
         nonzero = work[:, :, col] != 0
@@ -670,10 +659,9 @@ def pivot_rows(ctx: FieldCtx, mats):
         picked[batch, rows] = True
         if col + 1 == cols:
             break
-        if inv is None:
-            work, inv = mats.copy(), inverse_array(ctx)
+        if work is mats:
+            work = mats.copy()
         sub = work[batch, :, col:]
-        piv = sub[np.arange(len(batch)), rows]
-        piv = ctx.mul(piv[:, 1:], inv[piv[:, 0]][:, None])
+        piv = normalize_rows(ctx, sub[np.arange(len(batch)), rows])[:, 1:]
         work[batch, :, col + 1:] = ctx.sub(sub[:, :, 1:], ctx.mul(sub[:, :, :1], piv[:, None, :]))
     return picked

@@ -121,7 +121,7 @@ NOT_SECANT = "NotSecant"
 SECANT = "Secant"
 TANGENT_CONTACT = "TangentContact"
 
-# the six legal (s, rank) pairs
+# the six legal (s, rank) pairs; the secant locus has dimension h + s
 SIGNATURE_TABLE = {
     (0, 1): "Empty2Z",
     (1, 2): "TwoPoints",
@@ -129,16 +129,6 @@ SIGNATURE_TABLE = {
     (2, 2): "TwoLines",
     (2, 3): "Conic",
     (3, 4): "QuadricSurface",
-}
-
-# dim of the locus exceeds the vertex dimension by this amount, per label
-LOCUS_JUMP = {
-    "Empty2Z": 0,
-    "TwoPoints": 1,
-    "DoublePoint": 1,
-    "TwoLines": 2,
-    "Conic": 2,
-    "QuadricSurface": 3,
 }
 
 
@@ -255,12 +245,11 @@ def _fiber_kernel_vectors(ctx_x: FieldCtx, fiber, blocks) -> list:
     vectors u of the fiber matrix at x, the secant covectors applied to the
     n block vectors v_i(x), combined as sum_i u_i v_i(x).
 
-    blocks is the int64 array of those block vectors, from `_ruling_rows` of
-    the smooth scroll or a row of the cached `_ruling_monomials` stack; the
-    kernel rows are in RREF, so one `_combinations` forms them.  A zero
-    fiber matrix, the only kind with a nonzero kernel when n = 1, has the
-    unit vectors as its echelonized kernel, so it cuts out the block vectors
-    themselves.
+    blocks is the int64 array of those block vectors, a row of the cached
+    `_ruling_monomials` stack; the kernel rows are in RREF, so one
+    `_combinations` forms them.  A zero fiber matrix, the only kind with a
+    nonzero kernel when n = 1, has the unit vectors as its echelonized
+    kernel, so it cuts out the block vectors themselves.
     """
     import numpy as np
 
@@ -288,23 +277,19 @@ def fiber_secant_space(spec: ScrollSpec, ctx: FieldCtx, p, x) -> LinearSubspace:
     """The cut of the secant locus of p on the ruling over x (vertex included).
 
     Possibly just the vertex subspace, possibly empty for smooth scrolls.  p
-    lies over GF(q) (`base_field_point`).  The fiber matrix is formed with
-    scalar products, independently of `secant_locus_points`; the kernel
-    vectors are combined on int64 arrays, exact only for q < 2^26.
+    lies over GF(q) (`base_field_point`).  The reference for the cuts of
+    `secant_locus_points`, sharing only the covectors of `_secant_rows`: in
+    scalar field operations, exact for every q, each kernel vector u of the
+    fiber matrix gives the row sum_i u_i v_i(x).
     """
-    import numpy as np
-
     p = base_field_point(spec, ctx, p)
-    if ctx.q >= 1 << 26:
-        raise BudgetExceededError("fiber_secant_space needs q < 2^26")
     spec0 = spec.base()
     # raises PointOnVarietyError when p lies on the scroll
     cov, n = _secant_rows(quadric_generators(spec0, base_of(ctx)), p[spec.vertex_size:])
     blocks = _ruling_rows(spec0, ctx, x)
     fiber = [[_dot(ctx, w, v) for v in blocks] for w in cov[:n].tolist()]
-    rows = _lift_rows(spec, _fiber_kernel_vectors(ctx, fiber, np.array(blocks, dtype=np.int64)))
-    if not rows:
-        return LinearSubspace(ctx, spec.ambient, ())
+    _, _, kernel = row_reduce(ctx, fiber, len(blocks))
+    rows = _lift_rows(spec, [tuple(_dot(ctx, u, col) for col in zip(*blocks)) for u in kernel])
     _, ech = rref(ctx, rows, spec.ambient + 1)
     return LinearSubspace(ctx, spec.ambient, tuple(ech))
 
@@ -387,7 +372,7 @@ def _analysis(spec: ScrollSpec, ctx: FieldCtx, p: tuple):
         s=s,
         rank=rank,
         label=label,
-        locus_dim=h + LOCUS_JUMP[label],
+        locus_dim=h + s,
         depth_pred=sec.pdim + 1,
     )
     return sig, sec, quadric, polar_kernel

@@ -51,6 +51,18 @@ def test_classify_cone_depth_shift(capsys):
     assert r["dim_sigma"] == 1
 
 
+def test_a_point_with_a_leading_minus_reads_with_or_without_equals(capsys):
+    """argparse reads "-1,..." after a space as an option; the CLI joins it
+    to --point, or to an abbreviation of it, so every spelling gives the same
+    report."""
+    argv = ["classify", "--scroll", "S(1,2)", "--q", "7"]
+    spaced = run_cli(capsys, *argv, "--point", "-1,0,1,0,-1")
+    joined = run_cli(capsys, *argv, "--point=-1,0,1,0,-1")
+    assert spaced == joined == run_cli(capsys, *argv, "--poi", "-1,0,1,0,-1")
+    assert spaced[0] == 0
+    assert json.loads(spaced[1])["result"]["point"] == ["1", "0", "6", "0", "1"]
+
+
 def test_classify_rejects_point_on_scroll(capsys):
     code, _ = run_cli(
         capsys, "classify", "--scroll", "S(3)", "--point", "1,0,0,0", "--q", "7"
@@ -375,8 +387,7 @@ def _fuzz_argv(rng):
                                              "oracle-check", "oracle-check", "bogus"])
     if command == "classify":
         scroll = _fuzz_scroll(rng)
-        # "--point -1,..." would read as an option
-        argv = [command, "--scroll", scroll, "--point=" + _fuzz_point(rng, scroll),
+        argv = [command, "--scroll", scroll, "--point", _fuzz_point(rng, scroll),
                 "--q", _fuzz_q(rng, [3, 5, 7, 11, 10007, 2**61 - 1])]
     elif command == "sample":
         argv = [command, "--scroll", _fuzz_scroll(rng), "--n", _fuzz_count(rng, 3),

@@ -205,6 +205,31 @@ def test_atlas_loci_sample_verification():
                 assert not is_del_pezzo(spec, sig), (e, p)
 
 
+def test_locus_member_answers_for_the_closed_set_on_points_of_x(f7):
+    """On points of the scroll X, vertex points among them, every kind but
+    "sec" answers membership of the closed locus: "full" is True and "A",
+    "B" and "U" agree with the closed forms; "sec" raises PointOnVarietyError."""
+    from scrollsec import PointOnVarietyError, contains, embed, random_scroll_point
+    from scrollsec.strata import member_A, member_B, member_U
+
+    rng = random.Random(31)
+    answers = set()
+    for a, h in (([1, 2], -1), ([2, 2], -1), ([1, 1, 2], 0), ([1, 3], 1), ([1, 1, 1], -1)):
+        spec = scroll_new(a, h)
+        points = [embed(spec, f7, random_scroll_point(spec, f7, rng)) for _ in range(12)]
+        points += [tuple(int(i == j) for j in range(spec.ambient + 1)) for i in range(spec.vertex_size)]
+        for p in points:
+            assert contains(spec, f7, p)
+            assert locus_member("full", spec, f7, p) is True
+            for kind, closed in (("A", member_A), ("B", member_B), ("U", member_U)):
+                got = locus_member(kind, spec, f7, p)
+                assert got == closed(spec, f7, p), (kind, a, h, p)
+                answers.add(got)
+            with pytest.raises(PointOnVarietyError):
+                locus_member("sec", spec, f7, p)
+    assert answers == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # projection
 # ---------------------------------------------------------------------------
@@ -286,6 +311,31 @@ def test_veronese_rank_three_is_empty(f7):
     kind, rep = veronese_classify([[1, 0, 0], [0, 1, 0], [0, 0, 1]], f7)
     assert kind == "Empty"
     assert rep.depth == 1 and not rep.acm and not rep.linearly_normal
+
+
+# (rank, h, depth, acm, j, del_pezzo_case, linearly_normal): a conic locus
+# (j = 2) lifts the depth to h + 4 and is ACM; an empty one (j = 0) has depth
+# h + 2, and only the smooth surface projects without linear normality
+VERONESE_DEPTH_TABLE = [
+    (2, -1, 3, True, 2, "veronese", True),
+    (2, 0, 4, True, 2, "veronese", True),
+    (2, 1, 5, True, 2, "veronese", True),
+    (2, 2, 6, True, 2, "veronese", True),
+    (3, -1, 1, False, 0, "none", False),
+    (3, 0, 2, False, 0, "none", True),
+    (3, 1, 3, False, 0, "none", True),
+    (3, 2, 4, False, 0, "none", True),
+]
+
+
+@pytest.mark.parametrize("rank, h, depth, acm, j, case, normal", VERONESE_DEPTH_TABLE)
+def test_veronese_depth_report_table(f7, rank, h, depth, acm, j, case, normal):
+    from scrollsec import DepthReport
+
+    m = [[1, 0, 0], [0, 1, 0], [0, 0, int(rank == 3)]]
+    kind, rep = veronese_classify(m, f7, h=h)
+    assert kind == ("Conic" if rank == 2 else "Empty")
+    assert rep == DepthReport(depth=depth, acm=acm, j=j, del_pezzo_case=case, linearly_normal=normal)
 
 
 def test_veronese_zero_matrix_rejected(f7):

@@ -167,15 +167,16 @@ def test_array_arithmetic_matches_the_scalar_field():
             got = op(a, b)
             assert all(got[x, y] == op(x, y) for x in range(ctx.size) for y in range(ctx.size))
         assert ctx.neg(a[:, 0]).tolist() == [ctx.neg(x) for x in range(ctx.size)]
-        inv = exactfield.inverse_array(ctx)
-        assert inv[0] == 0 and all(ctx.mul(x, int(inv[x])) == 1 for x in range(1, ctx.size))
 
 
 def test_normalize_rows_and_pivot_rows_match_the_scalar_versions():
+    """`pivot_rows` divides by its pivots through `normalize_rows`, so both
+    are checked on seeded batches over small fields and over GF(101) and
+    GF(11^2), whose discrete log tables are larger."""
     import numpy as np
 
     rng = random.Random(44)
-    for ctx in (field_make(7, 1), field_make(5, 2)):
+    for ctx in (field_make(7, 1), field_make(5, 2), field_make(101, 1), field_make(11, 2)):
         for _ in range(60):
             cols = rng.randrange(1, 6)
             # low-rank matrices too: rows drawn from a few random rows
