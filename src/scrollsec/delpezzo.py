@@ -391,7 +391,7 @@ def sym3_to_vec(ctx: FieldCtx, m):
 
 
 def sym3_rank(ctx: FieldCtx, m) -> int:
-    return rref(ctx, m, 3)[0]
+    return rref(ctx, [[x % ctx.size for x in row] for row in m], 3)[0]
 
 
 def veronese_embed(ctx: FieldCtx, v):

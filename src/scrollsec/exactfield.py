@@ -298,7 +298,7 @@ def _rref_ext(ctx: FieldCtx, work: list, cols: int):
 
 
 def rref(ctx: FieldCtx, rows, cols: int):
-    """Rank and reduced row echelon rows over GF(q^d), without the kernel.
+    """Rank and RREF rows over GF(q^d), without the kernel; entries lie in [0, size).
 
     The echelon rows are those of `row_reduce`; callers that only need the
     row space or the rank skip its kernel pass.
@@ -308,7 +308,7 @@ def rref(ctx: FieldCtx, rows, cols: int):
 
 
 def row_reduce(ctx: FieldCtx, rows, cols: int | None = None):
-    """Reduced row echelon form over GF(q^d).
+    """Reduced row echelon form over GF(q^d); entries must lie in [0, size).
 
     Returns (rank, echelon_rows, kernel_rows).  Echelon rows are the nonzero
     RREF rows of the input; kernel rows span {v : M v = 0} and are echelonized
@@ -386,11 +386,11 @@ class LinearSubspace:
         return not self.rows
 
     def reduce(self, v):
-        """Residue of v after elimination by the basis rows."""
+        """Residue of v, read mod the field size, after elimination by the basis rows."""
         if len(v) != self.ambient + 1:
             raise DimensionMismatchError("ambient dimension mismatch")
         ctx = self.ctx
-        out = list(v)
+        out = [x % ctx.size for x in v]
         for row in self.rows:
             pc = next(j for j, x in enumerate(row) if x)
             f = out[pc]
@@ -407,9 +407,9 @@ class LinearSubspace:
 def span_points(ctx: FieldCtx, points, ambient: int) -> LinearSubspace:
     """Smallest linear subspace of P^ambient through the given points.
 
-    The empty input yields the empty subspace.
+    Coordinates are read mod the field size; no points give the empty subspace.
     """
-    pts = list(points)
+    pts = [[x % ctx.size for x in p] for p in points]
     for p in pts:
         if len(p) != ambient + 1:
             raise DimensionMismatchError("point does not live in P^%d" % ambient)
@@ -546,8 +546,29 @@ def _dot(ctx: FieldCtx, u, v) -> int:
     return acc
 
 
+def _rank_le_one(ctx: FieldCtx, vecs) -> bool:
+    """Whether the vectors, tuples or lists of reduced entries, span at most a
+    line: each v is c * r, for r the first nonzero vector, i its first nonzero
+    index and c = v_i / r_i.  The vectors are read in turn, up to the first
+    one off the line."""
+    r = None
+    for v in vecs:
+        if r is not None:
+            c = mul(v[i], inv)
+            # list against list: a tuple never equals a list
+            if list(v) != ([c * x % q for x in r] if ctx.d == 1 else [mul(c, x) for x in r]):
+                return False
+        elif any(v):
+            r, i = list(v), 0
+            while not r[i]:
+                i += 1
+            q, mul, inv = ctx.q, ctx.mul, ctx.inv(r[i])
+    return True
+
+
 def qform_rank(form: QForm) -> int:
-    """Rank of the Gram matrix; invariant under congruence and field extension."""
+    """Rank of the Gram matrix, whose entries lie in [0, size); invariant under
+    congruence and field extension."""
     return rref(form.ctx, form.gram, form.n_vars)[0]
 
 

@@ -40,8 +40,9 @@ C(d, 2) of its 2 x 2 minors, and x -> M(x) is linear and injective.
 * On L_p every minor restricts to Q_g(p) * det A.  So the Gram matrix G_g of
   generator g on the cone is exactly Q_g(p) / Q_g0(p) times G_g0, for g0 the
   first generator with Q_g0(p) != 0; G_g0 is nonzero, since it takes the
-  value Q_g0(p) at p.  `_analysis` checks every G_g against that scale: a
-  theorem, kept as a guard against a wrong generator list.
+  value Q_g0(p) at p.  So the vectors (Q_g(p), G_g) span a line, which
+  `_analysis` checks: a theorem, kept as a guard against a wrong generator
+  list.
 * det is nonzero at A = I, that is at p.  Over the algebraic closure the
   zero set of a nonzero quadric on a projective space of dimension >= 1 spans
   at least a hyperplane, and with p it spans the whole space; it is empty on
@@ -86,6 +87,7 @@ from .exactfield import (
     LinearSubspace,
     QForm,
     _dot,
+    _rank_le_one,
     base_of,
     pivot_rows,
     projective_points,
@@ -155,7 +157,7 @@ def secant_pair_test(spec: ScrollSpec, ctx: FieldCtx, p, q) -> str:
 
     With A_i = Q_i(p), B_i = polar of Q_i at (p, q), C_i = Q_i(q): q must lie
     on the scroll (C identically zero), and the line meets it in length >= 2
-    exactly when the rows (A_i, B_i) are pairwise proportional.  Secant and
+    exactly when the rows (A_i, B_i) span a line, as A != 0.  Secant and
     TangentContact both mean q lies on the secant locus of p; TangentContact
     means the line meets the scroll doubly at q itself.
     """
@@ -169,14 +171,7 @@ def secant_pair_test(spec: ScrollSpec, ctx: FieldCtx, p, q) -> str:
     b_vals = [_dot(ctx, g.polar(p), q) for g in gens]
     if not any(b_vals):
         return TANGENT_CONTACT
-    i0 = next(i for i, a in enumerate(a_vals) if a)
-    mul, sub = ctx.mul, ctx.sub
-    a0 = a_vals[i0]
-    b0 = b_vals[i0]
-    for a, b in zip(a_vals, b_vals):
-        if sub(mul(a0, b), mul(a, b0)):
-            return NOT_SECANT
-    return SECANT
+    return SECANT if _rank_le_one(ctx, zip(a_vals, b_vals)) else NOT_SECANT
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +331,12 @@ def _analysis(spec: ScrollSpec, ctx: FieldCtx, p: tuple):
     _, ech = rref(ctx, [pbar] + kernel, nv0)
     sec0 = LinearSubspace(ctx, spec0.ambient, tuple(ech))
 
-    # the hyperquadric: the Gram matrix of each generator on the cone is
-    # exactly Q_g(pbar) / Q_g0(pbar) times that of g0, so zero where Q_g(pbar) is
+    # the hyperquadric: the vectors (Q_g(pbar), Gram of g on the cone) span a
+    # line, so each Gram is Q_g(pbar) / Q_g0(pbar) times that of g0
     grams = [g.restrict(sec0).gram for g in gens0]
+    if not _rank_le_one(ctx, ([a] + [x for row in gram for x in row] for a, gram in zip(a_vals, grams))):
+        raise UnclassifiableSignatureError("generator restrictions to the secant cone are not proportional")
     quadric0 = grams[i0]
-    flat0 = [x for row in quadric0 for x in row]
-    mul, inv0 = ctx.mul, ctx.inv(a_vals[i0])
-    for a, gram in zip(a_vals, grams):
-        c = mul(a, inv0)
-        scaled = [mul(c, x) for x in flat0] if c else [0] * len(flat0)
-        if [x for row in gram for x in row] != scaled:
-            raise UnclassifiableSignatureError(
-                "generator restrictions to the secant cone are not proportional"
-            )
 
     sec = LinearSubspace(ctx, spec.ambient, tuple(_lift_rows(spec, sec0.rows)))
     # lifted Gram: the base Gram padded with zeros on the vertex block

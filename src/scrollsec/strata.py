@@ -11,15 +11,18 @@ a closed-form geometric description built from five nested sets:
 
 All tests run on the smooth reduction (vertex coordinates of p deleted):
 membership is insensitive to the vertex part, and working downstairs halves
-the case analysis.  The B test deserves a note: the join of the degree-1
-sub-scroll with the whole scroll is the union over rulings of the spans of a
-line of the sub-scroll with the ruling, and a point lies in such a span exactly
-when each of its nonzero blocks of degree >= 2 is proportional to the moment
-vector of one common ruling.  The degree-1 blocks are unconstrained; with
-none, the join and the test are those of the scroll itself.  That closed form
-is a derived fact, not an assumption; the brute-force oracle checks it over
-small fields.  Every test checks the coordinates of p first
-(`secant.validate_point`); A, B and U answer for points of the scroll too.
+the case analysis.  B and U are rank-one conditions.  The join of the
+degree-1 sub-scroll with the whole scroll is the union over rulings of the
+spans of a line of the sub-scroll with the ruling, and a point lies in such a
+span exactly when its blocks of degree >= 2 are multiples of the moment vector
+(s^a, s^(a-1) t, ..., t^a) of one common ruling (s:t), that is, when their
+consecutive coordinate pairs span at most a line, the one through (s, t).  The
+degree-1 blocks are unconstrained; with none, the join and the test are those
+of the scroll itself.  U asks the degree-2 blocks to span at most a line and
+the higher blocks to vanish.  These closed forms are derived facts, not
+assumptions; the brute-force oracle checks them over small fields.  Every test
+checks the coordinates of p first (`secant.validate_point`); A, B and U answer
+for points of the scroll too.
 
 Tan and Sec are read from the polar kernel K of the one cached secant
 analysis of p (`secant.classify_with_data`, whose docstring proves both
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactfield import FieldCtx
+from .exactfield import FieldCtx, _rank_le_one
 from .scroll import ScrollSpec, contains
 from .secant import _analysis, classify_with_data, validate_point
 
@@ -84,75 +87,27 @@ def member_A(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
 def member_U(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
     """p lies in the join of A with the union of the conic planes.
 
-    Blocks of degree >= 3 must vanish and the 3 x (number of degree-2 blocks)
-    coordinate matrix must have rank <= 1 (the conic planes sweep a Segre
-    variety).  With no degree-2 blocks this degenerates to membership in A.
+    A rank-one condition: blocks of degree >= 3 must vanish and the degree-2
+    blocks must span at most a line (the conic planes sweep a Segre variety).
+    With no degree-2 blocks this degenerates to membership in A.
     """
     p = validate_point(spec, ctx, p)
     for _, start, ai in _block_slices(spec, 3, 10**9):
         if any(p[start + j] for j in range(ai + 1)):
             return False
-    cols = [
-        tuple(p[start + j] for j in range(3)) for _, start, _ in _block_slices(spec, 2, 2)
-    ]
-    return _rank_le_one(ctx, cols)
-
-
-def _rank_le_one(ctx: FieldCtx, cols) -> bool:
-    ref = None
-    for col in cols:
-        if not any(col):
-            continue
-        if ref is None:
-            ref = col
-            continue
-        # 2x2 minors of (ref | col)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if ctx.sub(ctx.mul(ref[i], col[j]), ctx.mul(ref[j], col[i])):
-                    return False
-    return True
+    return _rank_le_one(ctx, (p[start:start + 3] for _, start, _ in _block_slices(spec, 2, 2)))
 
 
 def member_B(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
     """p lies in the join of the degree-1 sub-scroll with the scroll.
 
-    Exact over the algebraic closure: the witness ruling, when one exists, can
-    be read off rationally from consecutive coordinate ratios of p.
+    A rank-one condition, exact over the algebraic closure: the consecutive
+    coordinate pairs of the blocks of degree >= 2 span at most a line, the
+    span of the (s, t) of the witness ruling.
     """
     pbar = validate_point(spec, ctx, p)[spec.vertex_size:]
-    spec0 = spec.base()
-    x = None
-    for _, start, ai in _block_slices(spec0, 2, 10**9):
-        block = tuple(pbar[start + j] for j in range(ai + 1))
-        if not any(block):
-            continue
-        bx = _geometric_ratio(ctx, block)
-        if bx is None:
-            return False
-        if x is None:
-            x = bx
-        elif x != bx:
-            return False
-    return True
-
-
-def _geometric_ratio(ctx: FieldCtx, block):
-    """If block = u * (s^a, ..., t^a) for some (s:t), return normalized (s, t)."""
-    a = len(block) - 1
-    # rank <= 1 of the two shifted rows (Hankel test)
-    for i in range(a):
-        for j in range(i + 1, a):
-            if ctx.sub(ctx.mul(block[i], block[j + 1]), ctx.mul(block[j], block[i + 1])):
-                return None
-    # a geometric vector has no interior gap, so some consecutive pair is nonzero
-    for j in range(a):
-        if block[j] or block[j + 1]:
-            s, t = block[j], block[j + 1]
-            if s:
-                return (1, ctx.mul(ctx.inv(s), t))
-            return (0, 1)
-    return None
+    return _rank_le_one(ctx, (pbar[start + j:start + j + 2]
+                              for _, start, ai in _block_slices(spec.base(), 2, 10**9) for j in range(ai)))
 
 
 def member_tangent(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:

@@ -313,6 +313,15 @@ def test_veronese_rank_three_is_empty(f7):
     assert rep.depth == 1 and not rep.acm and not rep.linearly_normal
 
 
+def test_veronese_reads_entries_mod_q(f7):
+    """An entry that is zero mod q is zero: the rank is taken of the reduced
+    matrix, not with 7 as a pivot, whose inverse raised ZeroDivisionError."""
+    assert veronese_classify([[7, 0, 0], [0, 1, 0], [0, 0, 1]], f7) == veronese_classify(
+        [[0, 0, 0], [0, 1, 0], [0, 0, 1]], f7)
+    assert veronese_classify([[8, 14, 0], [0, -6, 0], [0, 0, -7]], f7)[0] == "Conic"
+    assert sym3_rank(f7, [[1, 0, 0], [0, 7, 0], [0, 0, 14]]) == 1
+
+
 # (rank, h, depth, acm, j, del_pezzo_case, linearly_normal): a conic locus
 # (j = 2) lifts the depth to h + 4 and is ACM; an empty one (j = 0) has depth
 # h + 2, and only the smooth surface projects without linear normality

@@ -313,6 +313,16 @@ def test_subspace_contains(f7):
     assert not empty.contains((1, 1, 1))
 
 
+def test_spans_read_coordinates_mod_the_field_size(f7):
+    """A coordinate and its residue mod the field size give the same
+    subspace, whose rows are its identity, and the same membership."""
+    assert span_points(f7, [(1, 8, 0)], 2) == span_points(f7, [(1, 1, 0)], 2)
+    assert span_points(f7, [(1, 0, 0)], 2).contains((1, 7, 0))
+    f49 = field_make(7, 2)
+    assert span_points(f49, [(1, 59, -1)], 2) == span_points(f49, [(1, 10, 48)], 2)
+    assert span_points(f49, [(1, 0, 0)], 2).contains((50, 49, -49))
+
+
 def test_subspace_contains_dim_mismatch(f7):
     line = span_points(f7, [(1, 0, 0)], 2)
     with pytest.raises(DimensionMismatchError):
@@ -633,3 +643,35 @@ def test_log_exp_tables_are_powers_of_the_least_generator():
             return k
 
         assert g == next(a for a in range(2, ctx.size) if element_order(a) == order), (q, d)
+
+
+# ---------------------------------------------------------------------------
+# the rank-one test
+# ---------------------------------------------------------------------------
+
+
+def test_rank_le_one_is_rank_at_most_one():
+    """`_rank_le_one` against the rank from `rref`, on seeded sets of rank 0, 1
+    and 2: r, zero on its first coordinates, then combinations of r and s,
+    with zero vectors before and after, tuples mixed with lists."""
+    rng = random.Random(25)
+    for ctx in (field_make(7), field_make(7, 2), field_make(10007)):
+        assert exactfield._rank_le_one(ctx, [])
+        assert exactfield._rank_le_one(ctx, [(0, 0), [0, 0]])
+        answers = set()
+        for rank in (0, 1, 2) * 60:
+            n = rng.randrange(1, 6)
+            lead = rng.randrange(n)
+            r = [0] * lead + [ctx.rand_nonzero(rng)] + [ctx.rand(rng) for _ in range(n - lead - 1)]
+            r = r if rank else [0] * n
+            s = [ctx.rand(rng) * (rank > 1) for _ in range(n)]
+            vecs = [[0] * n for _ in range(rng.randrange(3))] + [r]
+            for _ in range(rng.randrange(4)):
+                c, e = ctx.rand(rng), ctx.rand(rng)
+                vecs.append([ctx.add(ctx.mul(c, x), ctx.mul(e, y)) for x, y in zip(r, s)])
+            vecs += [[0] * n for _ in range(rng.randrange(3))]
+            vecs = [tuple(v) if rng.randrange(2) else v for v in vecs]
+            expected = exactfield.rref(ctx, vecs, n)[0] <= 1
+            assert exactfield._rank_le_one(ctx, vecs) == expected, (ctx, vecs)
+            answers.add(expected)
+        assert answers == {True, False}

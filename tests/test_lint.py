@@ -5,11 +5,13 @@ stops being checked; the program raises typed errors instead.  An unbounded
 `lru_cache(maxsize=None)` or `functools.cache` grows for the life of the
 process.  An `lru_cache` anywhere but on a module-level function escapes the
 benchmark, which empties before each round only the caches it finds among
-module globals, so its hits would carry over from round to round.  A top-level function or class that the program does not use and
-the README does not name as a reference is dead code that only its own tests
-keep alive, however it is exported; so is a method or property that nothing
-reaches by attribute, or a package re-export that neither the README, a demo
-nor the program names.
+module globals, so its hits would carry over from round to round.  A
+module-level numpy import costs every run of the package about a tenth of a
+second, also the classification path, which never needs numpy.  A top-level
+function or class that the program does not use and the README does not name
+as a reference is dead code that only its own tests keep alive, however it is
+exported; so is a method or property that nothing reaches by attribute, or a
+package re-export that neither the README, a demo nor the program names.
 """
 
 import ast
@@ -35,6 +37,9 @@ def _problems(source: str) -> list:
     # the decorators of module-level functions, the one place for an lru_cache
     allowed = {id(sub) for stmt in tree.body if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
                for dec in stmt.decorator_list for sub in ast.walk(dec)}
+    # what runs only when called: the bodies of functions
+    deferred = {id(sub) for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for stmt in node.body for sub in ast.walk(stmt)}
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
@@ -49,6 +54,10 @@ def _problems(source: str) -> list:
         elif (isinstance(node, ast.Attribute) and node.attr == "cache"
               and _name(node.value) == "functools"):
             out.append(f"line {node.lineno}: functools.cache")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in deferred:
+            modules = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module]
+            if any((module or "").split(".")[0] == "numpy" for module in modules):
+                out.append(f"line {node.lineno}: module-level numpy import")
         if (isinstance(node, (ast.Name, ast.Attribute)) and _name(node) == "lru_cache"
                 and id(node) not in allowed):
             out.append(f"line {node.lineno}: lru_cache off a module-level function")
@@ -90,6 +99,19 @@ def test_the_lint_catches_each_rule():
         "wrapped = lru_cache(maxsize=8)(outer)\n"
     )
     assert _problems(off_module) == [f"line {n}: lru_cache off a module-level function" for n in (4, 8, 12)]
+    # importing numpy takes about a tenth of a second; only the functions that build arrays load it
+    numpy_at_import = (
+        "import numpy as np\n"
+        "from numpy import zeros\n"
+        "import os, numpy.linalg\n"
+        "class A:\n"
+        "    import numpy\n"
+        "def f():\n"
+        "    import numpy as np\n"
+        "    from numpy import ones\n"
+        "    return np, ones\n"
+    )
+    assert _problems(numpy_at_import) == [f"line {n}: module-level numpy import" for n in (1, 2, 3, 5)]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)

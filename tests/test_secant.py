@@ -537,8 +537,9 @@ def test_analysis_refuses_non_proportional_generator_restrictions(monkeypatch, f
 
 
 def test_classification_path_does_not_load_numpy():
-    """numpy serves only the brute-force oracle; importing the package and
-    classifying a point must not load it."""
+    """numpy serves only the brute-force oracle; importing the package,
+    classifying a point and the atlas path (enumeration, sampling inside and
+    outside a locus, membership, depth) must not load it."""
     import os
     import subprocess
     import sys
@@ -553,6 +554,18 @@ def test_classification_path_does_not_load_numpy():
         "classify_with_data(spec, ctx, p)\n"
         "stratum_geometric(spec, ctx, p)\n"
         "project(spec, ctx, p)\n"
+        "from random import Random\n"
+        "from scrollsec.delpezzo import atlas_enumerate, depth_predict, is_del_pezzo, locus_member,"
+        " sample_inside_locus, sample_outside_locus\n"
+        "for e in atlas_enumerate(6, 4, 1):\n"
+        "    spec = scroll_new(e.a, e.h)\n"
+        "    for sample in (sample_inside_locus, sample_outside_locus):\n"
+        "        p = sample(e.locus_kind, spec, ctx, Random(1))\n"
+        "        if p is not None:\n"
+        "            sig, _, _, kernel = classify_with_data(spec, ctx, p)\n"
+        "            locus_member(e.locus_kind, spec, ctx, p)\n"
+        "            depth_predict(spec, sig, not kernel.is_empty())\n"
+        "            is_del_pezzo(spec, sig)\n"
         "print('numpy' in sys.modules)\n"
     )
     out = subprocess.run(

@@ -20,6 +20,7 @@ from scrollsec import (
     scroll_new,
     stratum_geometric,
 )
+from scrollsec.delpezzo import sample_inside_locus
 from scrollsec.oracle import brute_membership
 from scrollsec.scroll import ScrollPoint, random_scroll_point
 
@@ -272,18 +273,26 @@ def test_containment_chain_with_sparse_blocks():
 
 
 def test_member_B_matches_join_enumeration():
-    """The ruling-alignment shortcut for B against brute-force join scans."""
+    """The rank-one closed forms of B and U against brute-force join scans.
+
+    Random external points rarely land in B at q = 5 and 7, so points sampled
+    inside B (with a degree-1 block) and inside U (with a degree-2 block)
+    compare the True side of both closed forms too."""
     rng = random.Random(9)
+    inside = random.Random(25)
     for q in (5, 7):
         ctx = field_make(q, 1)
         ctx2 = field_make(q, 2)
         for a, h in (([1, 2], -1), ([1, 3], -1), ([2, 2], -1), ([1, 2], 0)):
             spec = scroll_new(a, h)
-            for _ in range(8):
-                p = external_point(spec, ctx, rng)
-                fast = member_B(spec, ctx, p)
-                brute = brute_membership(spec, ctx2, p).in_B
-                assert fast == brute, (q, a, h, p)
+            points = [(None, external_point(spec, ctx, rng)) for _ in range(8)]
+            for kind in [k for k, deg in (("B", 1), ("U", 2)) if deg in a]:
+                points += [(kind, sample_inside_locus(kind, spec, ctx, inside)) for _ in range(4)]
+            for kind, p in points:
+                fast = (member_B(spec, ctx, p), member_U(spec, ctx, p))
+                brute = brute_membership(spec, ctx2, p)
+                assert fast == (brute.in_B, brute.in_U), (q, a, h, p)
+                assert kind is None or fast[kind == "U"], (kind, p)
 
 
 def _exterior(spec, ctx):
