@@ -99,7 +99,7 @@ def _parse_point(text: str, ctx):
         vals = [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise ScrollParseError(f"bad point literal {text!r}") from exc
-    return normalize_point(ctx, tuple(v % ctx.q for v in vals))
+    return normalize_point(ctx, vals)
 
 
 def _classify_report(spec, ctx, p):

@@ -153,12 +153,12 @@ class FieldCtx:
         if self.d == 1:
             if a % q == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return pow(a, q - 2, q)
+            return pow(a, -1, q)
         a1, a0 = divmod(a, q)
         norm = (a0 * a0 - self.c * a1 * a1) % q
         if norm == 0:
             raise ZeroDivisionError("inverse of zero")
-        ninv = pow(norm, q - 2, q)
+        ninv = pow(norm, -1, q)
         return (a0 * ninv) % q + q * ((-a1 * ninv) % q)
 
     def rand(self, rng) -> int:
@@ -271,7 +271,7 @@ def _rref_ext(ctx: FieldCtx, work: list, cols: int):
         if row[col] != 1:
             # 1 / (p0 + p1 w) = (p0 - p1 w) / (p0^2 - c p1^2)
             p1, p0 = divmod(row[col], q)
-            ninv = pow((p0 * p0 - c * p1 * p1) % q, q - 2, q)
+            ninv = pow((p0 * p0 - c * p1 * p1) % q, -1, q)
             i0, i1 = p0 * ninv % q, -p1 * ninv % q
             row[col] = 1
             for j in range(col + 1, cols):
@@ -337,7 +337,9 @@ def row_reduce(ctx: FieldCtx, rows, cols: int | None = None):
 
 
 def normalize_point(ctx: FieldCtx, v) -> tuple:
-    """Scale a nonzero homogeneous vector so its first nonzero entry is 1."""
+    """Scale a nonzero homogeneous vector, its entries read mod the field
+    size, so its first nonzero entry is 1."""
+    v = [x % ctx.size for x in v]
     for x in v:
         if x:
             if x == 1:
@@ -381,9 +383,6 @@ class LinearSubspace:
     @property
     def pdim(self) -> int:
         return len(self.rows) - 1
-
-    def is_empty(self) -> bool:
-        return not self.rows
 
     def reduce(self, v):
         """Residue of v, read mod the field size, after elimination by the basis rows."""

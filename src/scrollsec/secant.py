@@ -12,8 +12,8 @@ entries are polynomials in the P^1 coordinate (`fiber_secant_space`,
 
 The classification does not scan rulings.  It works on the smooth scroll
 obtained by deleting the vertex coordinates (membership is insensitive to the
-vertex part), solves one linear system over the ground field, and reads off
-the pair
+vertex part), solves one linear system in four unknowns over the ground
+field, and reads off the pair
 
     s    = projective dimension of the secant cone, minus vertex contribution,
     rank = Gram rank of the unique hyperquadric cut on the cone,
@@ -29,10 +29,23 @@ C(d, 2) of its 2 x 2 minors, and x -> M(x) is linear and injective.
   Pluecker vector r1 ^ r2 of its rows.  The polar of the minors at p, applied
   to v with V = M(v) of rows v1, v2, is v1 ^ r2 + r1 ^ v2.
 * That vanishes exactly when V = A.P with trace A = 0: write v1 and v2 in
-  terms of r1, r2 and a complement W; the r1 ^ r2 part is the trace, and the
-  W ^ r2 and r1 ^ W parts are the complement components.  So the common kernel
+  terms of r1, r2 and a complement z; the r1 ^ r2 part is the trace, and the
+  z ^ r2 and r1 ^ z parts are the complement components.  So the common kernel
   K of the polar covectors `g.polar(p)` is {v : M(v) in sl2.P}, and p is not
   in K because trace I = 2.
+* The analysis finds K through the 2 x 2 matrices, not through the C(d, 2)
+  polar covectors.  Let W = {A in gl2 : A.P is catalecticant}.  A block of
+  degree a_i with coordinates x_0..x_(a_i) gives the columns (x_j, x_(j+1))
+  of P, and A = (a b; c e) keeps that block catalecticant iff
+  c x_j + e x_(j+1) = a x_(j+1) + b x_(j+2) for j = 0..a_i - 2: the rows
+  (x_(j+1), x_(j+2), -x_j, -x_(j+1)) in the unknowns (a, b, c, e), with the
+  trace row (1, 0, 0, 1) added for W n sl2.  M is injective with the
+  catalecticant matrices as image, and A -> A.P is injective since P has rank
+  2, so K = M^-1((W n sl2).P): a kernel vector B maps to the v with
+  M(v) = B.P, on each block v_j = a x_j + b x_(j+1) for j < a_i and
+  v_(a_i) = c x_(a_i - 1) + e x_(a_i), and the RREF of those images is K.
+  The polar covectors stay for the line test of `_secant_rows`, which the
+  ruling cuts, the pair scan and the oracle read.
 * The pair test's proportional rows B = t.A say that q - (t/2) p lies in K.
   So the secant locus is Sigma_p = X n L_p with L_p = <p, K> =
   {v : M(v) in gl2.P}.  Conversely every point of X n L_p passes the test,
@@ -54,6 +67,26 @@ C(d, 2) of its 2 x 2 minors, and x -> M(x) is linear and injective.
   quadric with a zero over the closure once pdim K >= 1; a single point of K
   must itself lie on the scroll.  And p is on the secant variety iff Sigma_p
   is nonempty, iff K is nonempty.
+
+The six signatures and the Tan and Sec rules are theorems of W.
+* The cone is M^-1(W.P), with p the image of I.  In odd characteristic
+  A = (trace A / 2) I + (A - (trace A / 2) I), so W = <I> + (W n sl2), a
+  direct sum: s = dim(W n sl2) = dim W - 1 and pdim K = s - 1.  The quadric
+  is Q_g0(p) * det A on the cone, so rank is the rank of det on W.
+* For B traceless det(l I + m B) = l^2 + m^2 det B, so det on W is the
+  orthogonal sum of <1> and det on S = W n sl2, and rank = 1 + rank of det on
+  S.  On sl2, det(a b; c -a) = -a^2 - bc has rank 3.  So S of dimension 0
+  gives rank 0; dimension 1 gives rank 0 or 1; dimension 2 gives rank 1 or 2,
+  since the radical of det on S lies in S n S^perp and S^perp is a line; and
+  dimension 3 gives rank 3.  The legal (s, rank) are exactly (0, 1), (1, 1),
+  (1, 2), (2, 2), (2, 3) and (3, 4), the keys of `SIGNATURE_TABLE`; any other
+  pair means a wrong generator list or a wrong solve.
+* Sec holds iff K is nonempty, iff s >= 1.  Tan holds iff K meets X.  For
+  s >= 2 it does, by the bullet above.  For s = 1, K is the point B.P with B
+  traceless and nonzero; B.P has the rank of B, since P has rank 2, so it
+  lies on the scroll iff det B = 0, iff det on W, l^2 + m^2 det B, has
+  rank 1.  So Tan holds iff s >= 2 or (s, rank) = (1, 1).  `strata` reads
+  both memberships from the signature this way.
 
 The stratum labels stay an independent check of this classification: the
 memberships A, B and U are closed forms of their own, and the brute-force
@@ -123,7 +156,8 @@ NOT_SECANT = "NotSecant"
 SECANT = "Secant"
 TANGENT_CONTACT = "TangentContact"
 
-# the six legal (s, rank) pairs; the secant locus has dimension h + s
+# the six legal (s, rank) pairs, derived in the module docstring; the secant
+# locus has dimension h + s
 SIGNATURE_TABLE = {
     (0, 1): "Empty2Z",
     (1, 2): "TwoPoints",
@@ -307,10 +341,11 @@ def classify_with_data(spec: ScrollSpec, ctx: FieldCtx, p):
     """The analysis of p: (signature, secant cone, quadric, polar kernel K).
 
     K is the common kernel of the polar covectors of the generators at the
-    reduced point, a subspace of the base scroll's ambient space (see the
-    module docstring).  Validates p, then reads the analysis from a cache
-    keyed on the validated point; every other public view of the secant locus
-    goes through here.  A point of the scroll raises PointOnVarietyError.
+    reduced point, a subspace of the base scroll's ambient space, solved as
+    M^-1((W n sl2).P) (see the module docstring).  Validates p, then reads
+    the analysis from a cache keyed on the validated point; every other
+    public view of the secant locus goes through here.  A point of the scroll
+    raises PointOnVarietyError.
     """
     return _analysis(spec, ctx, validate_point(spec, ctx, p))
 
@@ -326,7 +361,21 @@ def _analysis(spec: ScrollSpec, ctx: FieldCtx, p: tuple):
     if i0 is None:
         raise PointOnVarietyError("p lies on the scroll")
     nv0 = spec0.ambient + 1
-    _, _, kernel = row_reduce(ctx, [g.polar(pbar) for g in gens0], nv0)
+    # K = M^-1(W n sl2 . P): B = (a b; c e) is traceless and B.P catalecticant
+    blocks = [pbar[start:start + ai + 1] for start, ai in zip(spec0.block_starts, spec0.a)]
+    neg = ctx.neg
+    rows = [(x[j + 1], x[j + 2], neg(x[j]), neg(x[j + 1])) for x in blocks for j in range(len(x) - 2)]
+    rows.append((1, 0, 0, 1))
+    _, _, pencil = row_reduce(ctx, rows, 4)
+    images = []
+    for a, b, c, e in pencil:
+        # block by block: row 1 of B.P, then the last entry of row 2
+        v = []
+        for x in blocks:
+            v.extend(_dot(ctx, (a, b), xy) for xy in zip(x, x[1:]))
+            v.append(_dot(ctx, (c, e), x[-2:]))
+        images.append(v)
+    _, kernel = rref(ctx, images, nv0)
     polar_kernel = LinearSubspace(ctx, spec0.ambient, tuple(kernel))
     _, ech = rref(ctx, [pbar] + kernel, nv0)
     sec0 = LinearSubspace(ctx, spec0.ambient, tuple(ech))

@@ -24,12 +24,15 @@ assumptions; the brute-force oracle checks them over small fields.  Every test
 checks the coordinates of p first (`secant.validate_point`); A, B and U answer
 for points of the scroll too.
 
-Tan and Sec are read from the polar kernel K of the one cached secant
-analysis of p (`secant.classify_with_data`, whose docstring proves both
-rules): p is on the secant side iff K is nonempty, and on the tangent side iff
-K is a line or more, or a single point of the scroll.  The signature the
-stratum label is checked against comes from the same analysis, so a point's
-secant locus is computed once however many of these tests ask about it.
+Tan and Sec are read from the signature (s, rank) of the one cached secant
+analysis of p (`secant.classify_with_data`; the `secant` module docstring
+proves both rules): p is on the secant side iff s >= 1, and on the tangent
+side iff s >= 2 or (s, rank) = (1, 1).  The signature the stratum label is
+checked against comes from the same analysis, so a point's secant locus is
+computed once however many of these tests ask about it, and the agreement
+flag checks A, B and U against the signature.  The brute-force oracle
+(`oracle.brute_membership`) still decides all five memberships by
+enumeration, without the analysis.
 
 The stratum decision tree runs in the fixed order
 quadric-surface / two-lines / conic / double-point / two-points / empty, so a
@@ -42,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactfield import FieldCtx, _rank_le_one
-from .scroll import ScrollSpec, contains
+from .scroll import ScrollSpec
 from .secant import _analysis, classify_with_data, validate_point
 
 __all__ = [
@@ -112,34 +115,32 @@ def member_B(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
 
 def member_tangent(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
     """p lies in the join of the vertex with the tangent variety of the base:
-    the polar kernel K of p meets the base scroll over the algebraic closure."""
-    return _kernel_meets_scroll(spec, ctx, classify_with_data(spec, ctx, p)[3])
+    s >= 2 or (s, rank) = (1, 1)."""
+    return _in_tangent(classify_with_data(spec, ctx, p)[0])
 
 
-def _kernel_meets_scroll(spec: ScrollSpec, ctx: FieldCtx, kernel) -> bool:
-    return kernel.pdim >= 1 or (kernel.pdim == 0 and contains(spec.base(), ctx, kernel.rows[0]))
+def _in_tangent(sig) -> bool:
+    return sig.s >= 2 or (sig.s, sig.rank) == (1, 1)
 
 
 def member_secant_variety(spec: ScrollSpec, ctx: FieldCtx, p) -> bool:
     """p lies in the join of the vertex with the secant variety of the base:
-    the polar kernel K of p is nonempty."""
-    return not classify_with_data(spec, ctx, p)[3].is_empty()
+    s >= 1."""
+    return classify_with_data(spec, ctx, p)[0].s >= 1
 
 
 def stratum_geometric(spec: ScrollSpec, ctx: FieldCtx, p) -> MembershipReport:
-    """Stratum of p from the set memberships alone, plus the agreement flag.
+    """Stratum of p from the five memberships, plus the agreement flag.
 
-    Tan, Sec and the signature are read from the one cached analysis of p,
-    which also refuses a point of the scroll.
+    A, B and U are closed forms; Tan, Sec and the signature are read from the
+    one cached analysis of p, which also refuses a point of the scroll.
     """
     p = validate_point(spec, ctx, p)
-    sig, _, _, kernel = _analysis(spec, ctx, p)
+    sig = _analysis(spec, ctx, p)[0]
     in_a = member_A(spec, ctx, p)
     in_b = member_B(spec, ctx, p)
     in_u = member_U(spec, ctx, p)
-    in_tan = _kernel_meets_scroll(spec, ctx, kernel)
-    in_sec = not kernel.is_empty()
-    return stratum_report(in_a, in_b, in_u, in_tan, in_sec, sig.label)
+    return stratum_report(in_a, in_b, in_u, _in_tangent(sig), sig.s >= 1, sig.label)
 
 
 def stratum_report(in_a, in_b, in_u, in_tan, in_sec, signature_label: str) -> MembershipReport:

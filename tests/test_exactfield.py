@@ -334,6 +334,42 @@ def test_normalize_zero_vector_is_rejected(f7):
         normalize_point(f7, (0, 0, 0))
 
 
+def test_normalize_point_reads_entries_mod_the_field_size(f7):
+    """A coordinate and its residue mod the field size give the same point,
+    and a vector that is zero mod the field size is the zero vector."""
+    assert normalize_point(f7, (1, 8, 0)) == (1, 1, 0)
+    assert normalize_point(f7, (2, 9, 0)) == (1, 1, 0)
+    assert normalize_point(f7, (0, 7, 1)) == (0, 0, 1)
+    assert normalize_point(f7, (-6, 3, 0)) == (1, 3, 0)
+    for zero in ((7, 14, 0), (0, -7, 49)):
+        with pytest.raises(ZeroVectorError):
+            normalize_point(f7, zero)
+    f49 = field_make(7, 2)
+    assert normalize_point(f49, (49, 50, 1)) == (0, 1, 1)
+    with pytest.raises(ZeroVectorError):
+        normalize_point(f49, (49, 98, 0))
+
+
+@pytest.mark.parametrize("q,d", [(7, 1), (10007, 1), (2**61 - 1, 1), (7, 2)])
+def test_inverse_matches_fermat(q, d):
+    """`FieldCtx.inv` and the pivot inverse of the GF(q^2) row reduction
+    equal Fermat's a^(size - 2) on seeded nonzero values; zero, also as a
+    multiple of q over GF(q), raises ZeroDivisionError."""
+    ctx = field_make(q, d)
+    rng = random.Random(f"inv/{q}/{d}")
+    for _ in range(200):
+        a, b = ctx.rand_nonzero(rng), ctx.rand(rng)
+        fermat = exactfield._power(ctx, a, ctx.size - 2)
+        assert ctx.inv(a) == fermat
+        assert ctx.mul(a, fermat) == 1
+        assert exactfield.rref(ctx, [(a, b)], 2)[1] == [(1, ctx.mul(b, fermat))]
+        if d == 1:
+            assert ctx.inv(a + 3 * q) == ctx.inv(a - q) == fermat
+    for zero in (0, q, -2 * q) if d == 1 else (0,):
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(zero)
+
+
 @pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, 2)])
 def test_projective_points_count_normalized_distinct(q, d):
     ctx = field_make(q, d)

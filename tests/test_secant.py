@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,9 @@ import pytest
 from conftest import external_point, external_points
 from scrollsec import (
     DimensionMismatchError,
+    LinearSubspace,
     PointOnVarietyError,
+    QForm,
     UnclassifiableSignatureError,
     ZeroVectorError,
     classify_signature,
@@ -15,10 +18,13 @@ from scrollsec import (
     normalize_point,
     projective_points,
     qform_rank,
+    quadric_generators,
+    row_reduce,
     scroll_new,
     secant_locus_points,
     stratum_geometric,
 )
+from scrollsec.exactfield import rref
 from scrollsec.secant import (
     NOT_ON_X,
     NOT_SECANT,
@@ -57,7 +63,7 @@ def test_fiber_secant_space_examples(f7, s3):
     assert hit.pdim == 0
     assert hit.contains((1, 0, 0, 0))
     miss = fiber_secant_space(s3, f7, p, (1, 1))
-    assert miss.is_empty()
+    assert miss.rows == ()
 
 
 def test_fiber_secant_space_s111_is_line(f7):
@@ -117,7 +123,7 @@ def test_secant_cone_s111_rank2_point(f7):
     assert kernel.pdim == 2
     # every ruling meets the locus
     for x in projective_points(f7, 2):
-        assert not fiber_secant_space(spec, f7, p, x).is_empty()
+        assert fiber_secant_space(spec, f7, p, x).rows
 
 
 def test_sample_points_lie_on_locus(f7):
@@ -409,8 +415,9 @@ def test_secant_locus_points_is_the_union_of_ruling_cuts():
 
 def test_one_polar_solve_per_point(monkeypatch, f7):
     """Classification, strata and projection share one polar-kernel solve
-    (one row reduction with its kernel, one echelon-only reduction for the
-    cone) and scan no ruling."""
+    (one row reduction with its kernel, of the 4-unknown system of W n sl2,
+    one echelon-only reduction of its images for K and one for the cone) and
+    scan no ruling."""
     from scrollsec import project, secant
 
     spec = scroll_new([1, 2], 0)
@@ -434,8 +441,96 @@ def test_one_polar_solve_per_point(monkeypatch, f7):
     classify_with_data(spec, f7, p)
     stratum_geometric(spec, f7, p)
     project(spec, f7, p)
-    assert calls == ["row_reduce", "rref"]
+    assert calls == ["row_reduce", "rref", "rref"]
     assert secant._analysis.cache_info().misses == 1
+
+
+# the types of the reference check, each taken wherever its ambient space fits
+REFERENCE_TYPES = [([3], -1), ([1, 2], 0), ([2, 2], -1), ([1, 3], -1), ([2, 3], -1), ([1, 1, 2], -1), ([1, 1, 1], 0)]
+MATRIX_TYPES = [[3], [4], [1, 2], [1, 3], [2, 2], [2, 3], [1, 1, 1], [1, 1, 2], [1, 1, 3], [1, 2, 3], [1, 1, 2, 3]]
+
+
+def _reference_kernel(spec, ctx, p):
+    """K as the common kernel of the C(d, 2) polar covectors of the base
+    generators at the reduced point: one row reduction over all coordinates."""
+    spec0 = spec.base()
+    pbar = p[spec.vertex_size:]
+    polars = [g.polar(pbar) for g in quadric_generators(spec0, ctx)]
+    return tuple(map(tuple, row_reduce(ctx, polars, spec0.ambient + 1)[2]))
+
+
+def _check_against_the_reference(spec, ctx, p):
+    """K of the analysis equals the reference, and the Tan and Sec that
+    `strata` reads from the signature equal the rules on the reference K:
+    nonempty, and a line or more or a single point of the scroll."""
+    ref = _reference_kernel(spec, ctx, p)
+    assert classify_with_data(spec, ctx, p)[3].rows == ref
+    report = stratum_geometric(spec, ctx, p)
+    assert report.in_Sec == bool(ref)
+    assert report.in_Tan == (len(ref) >= 2 or (len(ref) == 1 and contains(spec.base(), ctx, ref[0])))
+
+
+@pytest.mark.parametrize("q,d", [(3, 1), (3, 2), (5, 1)])
+def test_pencil_solve_equals_the_polar_solve_on_whole_spaces(q, d):
+    """On every point of each reference type's ambient space with at most
+    4,000 points, the 4-unknown solve of W n sl2 gives the polar-covector K,
+    and a point of the scroll raises."""
+    ctx = field_make(q, d)
+    checked = 0
+    for a, h in REFERENCE_TYPES:
+        spec = scroll_new(a, h)
+        if (ctx.size ** (spec.ambient + 1) - 1) // (ctx.size - 1) > 4000:
+            continue
+        for p in projective_points(ctx, spec.ambient + 1):
+            if contains(spec, ctx, p):
+                with pytest.raises(PointOnVarietyError):
+                    classify_with_data(spec, ctx, p)
+                continue
+            _check_against_the_reference(spec, ctx, p)
+            checked += 1
+    assert checked > (800 if d == 2 else 2000)
+
+
+@pytest.mark.parametrize("q", [10007, 2**61 - 1])
+def test_pencil_solve_equals_the_polar_solve_on_matrix_specs(q):
+    """The same at large q, on seeded external points of the 33 specs of the
+    acceptance matrix."""
+    ctx = field_make(q, 1)
+    for a in MATRIX_TYPES:
+        for h in (-1, 0, 1):
+            spec = scroll_new(a, h)
+            for p in external_points(spec, ctx, f"pencil/{a}/{h}", 10):
+                _check_against_the_reference(spec, ctx, p)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_every_subspace_of_gl2_through_the_identity_has_a_legal_signature(q):
+    """W runs over every subspace of gl2 = {(a b; c e)} that contains I: with
+    s = dim W - 1 and rank the rank of det on W, (s, rank) is one of the six
+    keys of SIGNATURE_TABLE, and each key occurs.  On a plane W, rank 1 holds
+    exactly when its traceless line is singular, the DoublePoint case of Tan
+    (proofs in the `secant` module docstring)."""
+    ctx = field_make(q, 1)
+    half = ctx.inv(2)
+    det = QForm(ctx, 4, ((0, 0, 0, half), (0, 0, q - half, 0), (0, q - half, 0, 0), (half, 0, 0, 0)))
+    ident = (1, 0, 0, 1)
+    points = list(projective_points(ctx, 4))
+    spaces = {tuple(rref(ctx, [ident, *extra], 4)[1])
+              for k in range(3) for extra in itertools.combinations(points, k)}
+    spaces.add(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    assert len(spaces) == 2 * q * q + 2 * q + 4
+    seen = set()
+    for rows in spaces:
+        s = len(rows) - 1
+        rank = qform_rank(det.restrict(LinearSubspace(ctx, 3, rows)))
+        assert (s, rank) in SIGNATURE_TABLE
+        seen.add((s, rank))
+        if s == 1:
+            v = next(r for r in rows if r != ident)
+            t = (v[0] + v[3]) * half % q
+            b = (v[0] - t, v[1], v[2], v[3] - t)
+            assert (rank == 1) == ((b[0] * b[3] - b[1] * b[2]) % q == 0)
+    assert seen == set(SIGNATURE_TABLE)
 
 
 def test_one_covector_computation_per_point_and_field(monkeypatch):
@@ -564,7 +659,7 @@ def test_classification_path_does_not_load_numpy():
         "        if p is not None:\n"
         "            sig, _, _, kernel = classify_with_data(spec, ctx, p)\n"
         "            locus_member(e.locus_kind, spec, ctx, p)\n"
-        "            depth_predict(spec, sig, not kernel.is_empty())\n"
+        "            depth_predict(spec, sig, bool(kernel.rows))\n"
         "            is_del_pezzo(spec, sig)\n"
         "print('numpy' in sys.modules)\n"
     )
