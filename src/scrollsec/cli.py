@@ -12,8 +12,9 @@ from the same cached secant analysis, and no option changes the mathematics
 Exit codes: 0 success/agreement, 2 unclassifiable signature data, 3 label
 disagreement, failed verification or a broken invariant (InvariantError), 64
 usage/parse errors (argparse's too, negative counts or budgets, atlas bounds
-that admit no scroll and sizes past `SIZE_MAX` among them) and an --out file
-that cannot be written, 65 point on the variety, 66 over budget.
+that admit no scroll, sizes past `SIZE_MAX` and counts past `COUNT_MAX` among
+them) and an --out file that cannot be written, 65 point on the variety, 66
+over budget.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ ORACLE_Q_MAX = 101
 # the largest degree sum and vertex dimension of a scroll literal, --max-deg
 # and --max-h: the generators grow as deg^2 and the atlas walk as max_deg^3
 SIZE_MAX = 64
+# the largest --n and --verify-samples: the work is linear in them, and an
+# oracle-check point can take a second
+COUNT_MAX = 100_000
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -321,8 +325,9 @@ def run_oracle_check(args) -> int:
 
 
 def int_between(low: int, high: int | None = None):
-    """argparse type of an int >= low, and <= high when given: a count or a
-    budget (low 0), or an atlas bound between the smallest scroll and `SIZE_MAX`."""
+    """argparse type of an int >= low, and <= high when given: a count up to
+    `COUNT_MAX` or a budget (low 0), or an atlas bound between the smallest
+    scroll and `SIZE_MAX`."""
 
     def bounded(text: str) -> int:
         n = int(text)
@@ -356,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="stratum census of random external points")
     sp.add_argument("--scroll", required=True)
-    sp.add_argument("--n", type=int_between(0), default=200)
+    sp.add_argument("--n", type=int_between(0, COUNT_MAX), default=200)
     common(sp, DEFAULT_Q)
     sp.set_defaults(func=run_sample)
 
@@ -364,13 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-deg", type=int_between(3, SIZE_MAX), default=6)
     sp.add_argument("--max-n", type=int_between(1), default=4)
     sp.add_argument("--max-h", type=int_between(-1, SIZE_MAX), default=1)
-    sp.add_argument("--verify-samples", type=int_between(0), default=50)
+    sp.add_argument("--verify-samples", type=int_between(0, COUNT_MAX), default=50)
     common(sp, DEFAULT_Q)
     sp.set_defaults(func=run_atlas)
 
     sp = sub.add_parser("oracle-check", help="cross-validate against brute force")
     sp.add_argument("--scroll", required=True)
-    sp.add_argument("--n", type=int_between(0), default=25)
+    sp.add_argument("--n", type=int_between(0, COUNT_MAX), default=25)
     sp.add_argument("--d", type=int, default=2, choices=(1, 2))
     sp.add_argument("--budget", type=int_between(0), default=10**7)
     common(sp, 7)

@@ -55,7 +55,10 @@ C(d, 2) of its 2 x 2 minors, and x -> M(x) is linear and injective.
   first generator with Q_g0(p) != 0; G_g0 is nonzero, since it takes the
   value Q_g0(p) at p.  So the vectors (Q_g(p), G_g) span a line, which
   `_analysis` checks: a theorem, kept as a guard against a wrong generator
-  list.
+  list.  It checks nothing when K is empty: the cone is then the one RREF
+  row r = l p, and Q(r) = l^2 Q(p) for every quadratic form Q, so
+  (Q_g(p), G_g) = Q_g(p) (1, l^2) lies on one line for any generator list.
+  There `_analysis` forms only the 1 x 1 Gram of g0.
 * det is nonzero at A = I, that is at p.  Over the algebraic closure the
   zero set of a nonzero quadric on a projective space of dimension >= 1 spans
   at least a hyperplane, and with p it spans the whole space; it is empty on
@@ -381,11 +384,15 @@ def _analysis(spec: ScrollSpec, ctx: FieldCtx, p: tuple):
     sec0 = LinearSubspace(ctx, spec0.ambient, tuple(ech))
 
     # the hyperquadric: the vectors (Q_g(pbar), Gram of g on the cone) span a
-    # line, so each Gram is Q_g(pbar) / Q_g0(pbar) times that of g0
-    grams = [g.restrict(sec0).gram for g in gens0]
-    if not _rank_le_one(ctx, ([a] + [x for row in gram for x in row] for a, gram in zip(a_vals, grams))):
-        raise UnclassifiableSignatureError("generator restrictions to the secant cone are not proportional")
-    quadric0 = grams[i0]
+    # line, so each Gram is Q_g(pbar) / Q_g0(pbar) times that of g0; on a
+    # one-point cone they do for every generator list, so only g0's is formed
+    if kernel:
+        grams = [g.restrict(sec0).gram for g in gens0]
+        if not _rank_le_one(ctx, ([a] + [x for row in gram for x in row] for a, gram in zip(a_vals, grams))):
+            raise UnclassifiableSignatureError("generator restrictions to the secant cone are not proportional")
+        quadric0 = grams[i0]
+    else:
+        quadric0 = gens0[i0].restrict(sec0).gram
 
     sec = LinearSubspace(ctx, spec.ambient, tuple(_lift_rows(spec, sec0.rows)))
     # lifted Gram: the base Gram padded with zeros on the vertex block

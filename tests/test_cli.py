@@ -333,6 +333,32 @@ def test_the_size_bound_itself_is_accepted(capsys):
     assert json.loads(capsys.readouterr().out)["result"]["agreement_failures"] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--scroll", "S(3)", "--n", str(10**10)],
+    ["oracle-check", "--scroll", "S(3)", "--q", "5", "--n", str(10**10)],
+    ["atlas", "--max-deg", "3", "--verify-samples", str(10**10)],
+])
+def test_counts_past_the_count_bound_are_usage_errors(capsys, argv):
+    # the parser is asked first: without the bound it accepts the count, and
+    # the test fails here instead of starting a run of 10^10 points
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert f"must be <= {cli.COUNT_MAX}" in captured.err
+
+
+def test_the_count_bound_itself_is_accepted():
+    bound = str(cli.COUNT_MAX)
+    parser = cli.build_parser()
+    assert parser.parse_args(["sample", "--scroll", "S(3)", "--n", bound]).n == cli.COUNT_MAX
+    assert parser.parse_args(["oracle-check", "--scroll", "S(3)", "--n", bound]).n == cli.COUNT_MAX
+    assert parser.parse_args(["atlas", "--verify-samples", bound]).verify_samples == cli.COUNT_MAX
+
+
 # the exit codes the module docstring and the README document
 DOCUMENTED_EXITS = {0, 2, 3, 64, 65, 66}
 

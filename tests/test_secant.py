@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -446,7 +447,8 @@ def test_one_polar_solve_per_point(monkeypatch, f7):
 
 
 # the types of the reference check, each taken wherever its ambient space fits
-REFERENCE_TYPES = [([3], -1), ([1, 2], 0), ([2, 2], -1), ([1, 3], -1), ([2, 3], -1), ([1, 1, 2], -1), ([1, 1, 1], 0)]
+REFERENCE_TYPES = [([3], -1), ([1, 2], -1), ([1, 2], 0), ([2, 2], -1), ([1, 3], -1), ([2, 3], -1), ([1, 1, 2], -1),
+                   ([1, 1, 1], 0)]
 MATRIX_TYPES = [[3], [4], [1, 2], [1, 3], [2, 2], [2, 3], [1, 1, 1], [1, 1, 2], [1, 1, 3], [1, 2, 3], [1, 1, 2, 3]]
 
 
@@ -470,11 +472,12 @@ def _check_against_the_reference(spec, ctx, p):
     assert report.in_Tan == (len(ref) >= 2 or (len(ref) == 1 and contains(spec.base(), ctx, ref[0])))
 
 
-@pytest.mark.parametrize("q,d", [(3, 1), (3, 2), (5, 1)])
+@pytest.mark.parametrize("q,d", [(3, 1), (3, 2), (5, 1), (7, 1)])
 def test_pencil_solve_equals_the_polar_solve_on_whole_spaces(q, d):
     """On every point of each reference type's ambient space with at most
     4,000 points, the 4-unknown solve of W n sl2 gives the polar-covector K,
-    and a point of the scroll raises."""
+    and a point of the scroll raises.  Over GF(7) that is S(3) and S(1,2),
+    the scrolls where the polar system is smallest."""
     ctx = field_make(q, d)
     checked = 0
     for a, h in REFERENCE_TYPES:
@@ -489,6 +492,64 @@ def test_pencil_solve_equals_the_polar_solve_on_whole_spaces(q, d):
             _check_against_the_reference(spec, ctx, p)
             checked += 1
     assert checked > (800 if d == 2 else 2000)
+
+
+@pytest.mark.parametrize("a,p,rank", [
+    pytest.param([1, 1, 2], (1, 0, 0, 1, 0, 0, 0), 0, id="rank0-zero-rows"),
+    pytest.param([2, 2], (1, 0, 1, 2, 0, 2), 1, id="rank1-proportional-rows"),
+    pytest.param([3], (1, 0, 0, 1), 2, id="rank2-two-rows"),
+    pytest.param([4], (1, 0, 0, 1, 1), 3, id="rank3-three-rows"),
+])
+def test_pencil_solve_at_each_rank_of_the_row_matrix(a, p, rank):
+    """W n sl2 in the entries (a, b, c) of B = (a b; c -a) is the kernel of
+    the rows (2 x_(j+1), x_(j+2), -x_j).  At one point per rank over GF(7)
+    that kernel is all of sl2, a plane, a line or zero, so s = 3 - rank, and
+    K equals the polar-covector reference."""
+    spec, ctx = scroll_new(a), field_make(7, 1)
+    starts = [sum(a[:i]) + i for i in range(len(a))]
+    blocks = [p[start:start + ai + 1] for start, ai in zip(starts, a)]
+    rows = [(2 * x[j + 1] % 7, x[j + 2], -x[j] % 7) for x in blocks for j in range(len(x) - 2)]
+    assert row_reduce(ctx, rows, 3)[0] == rank
+    assert classify_signature(spec, ctx, p).s == 3 - rank
+    _check_against_the_reference(spec, ctx, p)
+
+
+def test_analysis_work_per_point_on_the_matrix_specs(monkeypatch):
+    """Counts of one analysis that no host changes, on seeded external points
+    of the 33 specs of the acceptance matrix at q = 10007.  A one-point cone
+    (s = 0) restricts one generator, g0, and a larger cone all C(d, 2) for
+    the guard.  The RREF passes are the solve of W n sl2, the echelon form of
+    its kernel when it has one, the images of the kernel for K, the cone and
+    the quadric's rank: four when s = 0, five otherwise."""
+    from scrollsec import exactfield, secant
+    from scrollsec.exactfield import Binomial
+
+    counts = {}
+
+    def counted(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(Binomial, "restrict", counted("restrict", Binomial.restrict))
+    monkeypatch.setattr(exactfield, "_rref", counted("_rref", exactfield._rref))
+    ctx = field_make(10007, 1)
+    one_point = larger = 0
+    for a in MATRIX_TYPES:
+        for h in (-1, 0, 1):
+            spec = scroll_new(a, h)
+            for p in external_points(spec, ctx, f"work/{a}/{h}", 5):
+                secant._analysis.cache_clear()
+                counts.update(restrict=0, _rref=0)
+                s = classify_with_data(spec, ctx, p)[0].s
+                expected = {"restrict": 1, "_rref": 4} if s == 0 else {"restrict": math.comb(sum(a), 2), "_rref": 5}
+                assert counts == expected, (a, h, p)
+                one_point += s == 0
+                larger += s > 0
+    secant._analysis.cache_clear()
+    assert one_point and larger
 
 
 @pytest.mark.parametrize("q", [10007, 2**61 - 1])
@@ -601,14 +662,34 @@ def test_one_point_cuts_take_no_packed_array_products(monkeypatch, f7, s3):
     assert secant._ruling_monomials(s3, f49)[2] is not None
 
 
+# over GF(7), a point of each signature with s >= 1 where the tampered list of
+# the guard test breaks proportionality; on some other points it does not
+GUARD_CASES = [
+    ([3], (1, 0, 0, 1), "TwoPoints"),
+    ([3], (0, 1, 0, 0), "DoublePoint"),
+    ([1, 2], (1, 0, 0, 0, 1), "TwoLines"),
+    ([1, 2], (0, 1, 0, 1, 0), "Conic"),
+    ([1, 1, 1], (1, 0, 0, 1, 0, 0), "QuadricSurface"),
+]
+
+
 def test_analysis_refuses_non_proportional_generator_restrictions(monkeypatch, f7):
     """The proportionality guard: with the last minor replaced by a binomial
-    that is not a minor, the restrictions to the secant cone are not the
-    scale Q_g(p) / Q_g0(p) of one Gram matrix, and the analysis raises instead
-    of picking one; a list that vanishes at p declares p a point of the scroll."""
+    that is not a minor, the restrictions to a secant cone of dimension >= 1
+    are not the scale Q_g(p) / Q_g0(p) of one Gram matrix, and the analysis
+    raises instead of picking one, at a point of each signature with s >= 1.
+    A one-point cone r = l p passes for every list, as Q(r) = l^2 Q(p), so
+    at an Empty2Z point the tampered list gives the analysis of the true one.
+    A list that vanishes at p declares p a point of the scroll."""
     from scrollsec import secant
     from scrollsec.exactfield import Binomial
 
+    s4, empty2z = scroll_new([4]), (1, 0, 0, 1, 1)
+    secant._analysis.cache_clear()
+    for a, p, label in GUARD_CASES:
+        assert classify_signature(scroll_new(a), f7, p).label == label
+    true_analysis = classify_with_data(s4, f7, empty2z)
+    assert true_analysis[0].label == "Empty2Z"
     real = secant.quadric_generators
 
     def tampered(spec, ctx):
@@ -619,10 +700,10 @@ def test_analysis_refuses_non_proportional_generator_restrictions(monkeypatch, f
     monkeypatch.setattr(secant, "quadric_generators", tampered)
     secant._analysis.cache_clear()
     try:
-        for spec in (scroll_new([1, 2]), scroll_new([3])):
-            p = external_points(spec, f7, 1, 1)[0]
+        for a, p, label in GUARD_CASES:
             with pytest.raises(UnclassifiableSignatureError, match="are not proportional"):
-                classify_with_data(spec, f7, p)
+                classify_with_data(scroll_new(a), f7, p)
+        assert classify_with_data(s4, f7, empty2z) == true_analysis
         p = external_points(scroll_new([1, 2]), f7, 1, 8)[7]
         with pytest.raises(PointOnVarietyError):
             classify_with_data(scroll_new([1, 2]), f7, p)
