@@ -9,7 +9,8 @@ Run with:  python demos/03_secant_classification.py
 
 import random
 
-from scrollsec import classify_signature, contains, field_make, normalize_point, scroll_new
+from scrollsec import classify_with_data, field_make, normalize_point, scroll_new
+from scrollsec.delpezzo import draw_external_point
 
 f7 = field_make(7, 1)
 
@@ -21,7 +22,7 @@ examples = [
     ("cone over S(3), lifted chord", scroll_new([3], 0), (0, 1, 0, 0, 1)),
 ]
 for name, spec, p in examples:
-    sig = classify_signature(spec, f7, p)
+    sig = classify_with_data(spec, f7, p)[0]
     print(f"{name:32s} -> {sig.label:14s} (s, rank)=({sig.s},{sig.rank})"
           f"  dim locus {sig.locus_dim}  predicted depth {sig.depth_pred}")
 
@@ -33,13 +34,9 @@ spec = scroll_new([1, 1, 2, 3])
 rng = random.Random(0)
 seen = {}
 for _ in range(400):
-    while True:
-        p = tuple(ctx.rand(rng) for _ in range(spec.ambient + 1))
-        if any(p):
-            p = normalize_point(ctx, p)
-            if not contains(spec, ctx, p):
-                break
-    sig = classify_signature(spec, ctx, p)
+    while (p := draw_external_point(spec, ctx, rng)) is None:
+        pass
+    sig = classify_with_data(spec, ctx, p)[0]
     seen[sig.label] = seen.get(sig.label, 0) + 1
 for label, count in sorted(seen.items()):
     print(f"  {label:15s} {count}")
@@ -51,5 +48,5 @@ witnesses = {
     "Conic": normalize_point(ctx, (1, 2, 3, 4, 1, 0, 5) + (0,) * (nv - 7)),
 }
 for want, p in witnesses.items():
-    sig = classify_signature(spec, ctx, p)
+    sig = classify_with_data(spec, ctx, p)[0]
     print(f"  {want:15s} -> classified {sig.label}")

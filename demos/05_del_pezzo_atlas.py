@@ -9,14 +9,14 @@ closed-form locus.
 Run with:  python demos/05_del_pezzo_atlas.py
 """
 
-from scrollsec import classify_signature, depth_predict, field_make, is_del_pezzo, project, scroll_new
+from scrollsec import classify_with_data, depth_predict, field_make, is_del_pezzo, project, scroll_new
 from scrollsec.delpezzo import atlas_enumerate
 
 f7 = field_make(7, 1)
 
 spec = scroll_new([1, 2])
 p = (0, 0, 1, 0, 6)
-sig = classify_signature(spec, f7, p)
+sig = classify_with_data(spec, f7, p)[0]
 rep = depth_predict(spec, sig, in_sec=True)
 print(f"S(1,2) from {p}: locus {sig.label}, depth {rep.depth},",
       f"maximal Del Pezzo: {is_del_pezzo(spec, sig)} (case {rep.del_pezzo_case})")

@@ -45,7 +45,6 @@ from .scroll import (
 )
 from .secant import (
     SecantSignature,
-    classify_signature,
     classify_with_data,
     secant_locus_points,
 )

@@ -10,10 +10,10 @@ j equals the number n of parameter blocks.
 
 Since j <= 3, only curves (pairs of entry points), surfaces (line pairs or
 conics) and threefolds (quadric surfaces) qualify, and for each family the
-qualifying point locus collapses to a closed-form set.  ``atlas_enumerate``
-derives that locus from the generic rule j = n, then pattern-matches the
-family to a descriptive case tag; the test suite compares the generated atlas
-against an independently hand-coded list.
+qualifying point locus collapses to a closed-form set.  One table, keyed on
+the block counts (n, k, m), gives each family its case tag and locus kind;
+the test suite checks it against the classification on every exterior point
+of the small types over GF(3).
 
 The Veronese surface is handled separately through its symmetric-matrix model:
 a symmetric 3x3 matrix of rank 1 is a point of the surface, rank 2 gives a
@@ -122,72 +122,48 @@ _LOCUS_TEXT = {
 }
 
 
+# The atlas, keyed on (n, k, m): n blocks, k of degree 1, m of degree <= 2.
+# A point qualifies when its locus jump j equals n, and the table lists the
+# families where the strata with j = n are nonempty off the scroll:
+# - a curve qualifies on its secant variety;
+# - on a surface of degrees 1 and 2 the join of A with the conic plane fills
+#   the ambient; of degrees 1 and b >= 3 there are no conic planes, so only
+#   the line join B survives; with no degree-1 block B degenerates into the
+#   scroll, and the conic planes U of a degree-2 block remain, if it has one;
+# - on a threefold three degree-1 blocks fill the ambient, and two leave the
+#   span A of the degree-1 sub-scroll;
+# - with four or more blocks nothing qualifies, since j <= 3.
+_ATLAS = {
+    (1, 0, 0): ("curve", "sec"),
+    (2, 1, 2): ("surface-cubic", "full"),
+    (2, 1, 1): ("surface-line-join", "B"),
+    (2, 0, 2): ("surface-conic-segre", "U"),
+    (2, 0, 1): ("surface-conic-span", "U"),
+    (3, 3, 3): ("threefold-full", "full"),
+    (3, 2, 3): ("threefold-plane-join", "A"),
+    (3, 2, 2): ("threefold-plane-join", "A"),
+}
+
+
 def atlas_case_for(a) -> tuple | None:
-    """(case tag, locus kind) for the family of scroll types a, or None.
-
-    Resolution of the generic rule j = n: the strata with j = n must be
-    nonempty off the scroll, which collapses to the patterns below.
-    """
-    a = tuple(a)
-    n = len(a)
-    if n == 1:
-        return ("curve", "sec")
-    if n == 2:
-        x, b = a
-        if x == 1 and b == 2:
-            return ("surface-cubic", "full")
-        if x == 1 and b >= 3:
-            return ("surface-line-join", "B")
-        if x == 2 and b == 2:
-            return ("surface-conic-segre", "U")
-        if x == 2 and b >= 3:
-            return ("surface-conic-span", "U")
-        return None
-    if n == 3:
-        if a == (1, 1, 1):
-            return ("threefold-full", "full")
-        if a[0] == 1 and a[1] == 1 and a[2] >= 2:
-            return ("threefold-plane-join", "A")
-        return None
-    return None
-
-
-def _derived_locus_kind(spec: ScrollSpec) -> str | None:
-    """Locus where j = n, derived from (n, k, m) alone."""
-    n, k, m = spec.n, spec.k, spec.m
-    if n == 1:
-        return "sec"
-    if n == 2:
-        if k == 1 and m == 2:
-            return "full"  # the join of A with the conic plane fills the ambient
-        if k == 1 and m == 1:
-            return "B"  # no conic planes, so only the line join survives
-        if k == 0 and m >= 1:
-            return "U"  # no degree-1 part: B degenerates into the scroll
-        return None
-    if n == 3:
-        if k == 3:
-            return "full"
-        if k == 2:
-            return "A"
-        return None
-    return None
+    """(case tag, locus kind) for the family of scroll types a, or None: the
+    `_ATLAS` entry of its block counts (n, k, m)."""
+    return _ATLAS.get((len(a), sum(x == 1 for x in a), sum(x <= 2 for x in a)))
 
 
 def atlas_enumerate(max_deg: int, max_n: int, max_h: int) -> list:
     """Every scroll type in bounds whose projection can be maximally Del Pezzo,
-    with the exact qualifying point locus.  Families with no such locus are
-    omitted.  The locus kind derived from the generic rule must agree with the
-    family pattern; a mismatch is a hard error.  Bounds that admit no scroll
-    (max_deg below 3, max_n below 1, max_h below -1) raise EmptyTypeError.
+    with the exact qualifying point locus, read from the `atlas_case_for`
+    table.  Families with no such locus are omitted.  Bounds that admit no
+    scroll (max_deg below 3, max_n below 1, max_h below -1) raise
+    EmptyTypeError.
 
     Only types of at most 3 blocks are walked.  A point is maximally Del
     Pezzo when its locus jump j (locus dimension minus h) equals n, and j is
     the s of its signature in SIGNATURE_TABLE, at most 3.  So no point of a
-    type with n >= 4 blocks qualifies: `atlas_case_for` and
-    `_derived_locus_kind` both return None there, and such a type never has
-    an entry.  The walk over the C(max_deg, n) degree tuples therefore stops
-    at n = min(max_n, 3)."""
+    type with n >= 4 blocks qualifies, the table has no key with n >= 4, and
+    such a type never has an entry.  The walk over the C(max_deg, n) degree
+    tuples therefore stops at n = min(max_n, 3)."""
     if max_deg < 3 or max_n < 1 or max_h < -1:
         raise EmptyTypeError(
             f"atlas bounds max_deg={max_deg}, max_n={max_n}, max_h={max_h} admit no scroll"
@@ -197,24 +173,16 @@ def atlas_enumerate(max_deg: int, max_n: int, max_h: int) -> list:
         # nondecreasing degree tuples; a degree above max_deg - (n - 1) would
         # leave the other n - 1 blocks less than degree 1 each
         for a in combinations_with_replacement(range(1, max_deg - n + 2), n):
-            if not 3 <= sum(a) <= max_deg:
+            tagged = atlas_case_for(a)
+            if tagged is None or not 3 <= sum(a) <= max_deg:
                 continue
+            case, kind = tagged
             for h in range(-1, max_h + 1):
-                spec = scroll_new(a, h)
-                tagged = atlas_case_for(a)
-                derived = _derived_locus_kind(spec)
-                if tagged is None and derived is None:
-                    continue
-                if tagged is None or derived is None or tagged[1] != derived:
-                    raise InvariantError(
-                        f"atlas rule mismatch for {a}: tag {tagged} vs derived {derived}"
-                    )
-                case, kind = tagged
                 entries.append(
                     AtlasEntry(
                         a=a,
                         h=h,
-                        scroll=scroll_literal(spec),
+                        scroll=scroll_literal(scroll_new(a, h)),
                         case=case,
                         locus_kind=kind,
                         locus=_LOCUS_TEXT[kind],

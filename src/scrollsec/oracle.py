@@ -75,7 +75,7 @@ from .exactfield import (
     span_points,
 )
 from .scroll import ScrollSpec, _embed_grid, _embed_rows, quadric_generators
-from .secant import _secant_rows, base_field_point, classify_signature, classify_with_data
+from .secant import _secant_rows, base_field_point, classify_with_data
 from .strata import MembershipReport, stratum_report
 
 __all__ = [
@@ -395,7 +395,7 @@ def brute_membership(
     in_b = _in_a_span(ctx, p, vertex, lines[:, None], rulings) if spec.k else p in table
     in_u = _in_a_span(ctx, p, a_rows, conics) if spec.m > spec.k else in_a
 
-    sig = classify_signature(spec, base_of(ctx), p)
+    sig = classify_with_data(spec, base_of(ctx), p)[0]
     return stratum_report(in_a, in_b, in_u, in_tan, in_sec, sig.label)
 
 

@@ -148,7 +148,6 @@ __all__ = [
     "SecantSignature",
     "secant_pair_test",
     "fiber_secant_space",
-    "classify_signature",
     "classify_with_data",
     "secant_locus_points",
     "validate_point",
@@ -378,7 +377,8 @@ def _analysis(spec: ScrollSpec, ctx: FieldCtx, p: tuple):
             v.extend(_dot(ctx, (a, b), xy) for xy in zip(x, x[1:]))
             v.append(_dot(ctx, (c, e), x[-2:]))
         images.append(v)
-    _, kernel = rref(ctx, images, nv0)
+    # an empty pencil (W n sl2 = 0) leaves K = 0 with no elimination
+    kernel = rref(ctx, images, nv0)[1] if images else []
     polar_kernel = LinearSubspace(ctx, spec0.ambient, tuple(kernel))
     _, ech = rref(ctx, [pbar] + kernel, nv0)
     sec0 = LinearSubspace(ctx, spec0.ambient, tuple(ech))
@@ -420,11 +420,6 @@ def _analysis(spec: ScrollSpec, ctx: FieldCtx, p: tuple):
         depth_pred=sec.pdim + 1,
     )
     return sig, sec, quadric, polar_kernel
-
-
-def classify_signature(spec: ScrollSpec, ctx: FieldCtx, p) -> SecantSignature:
-    """Signature (dim of secant cone, quadric rank, label, locus dim, depth)."""
-    return classify_with_data(spec, ctx, p)[0]
 
 
 def secant_locus_points(spec: ScrollSpec, ctx_d: FieldCtx, p, budget: int = 10**7):

@@ -213,8 +213,8 @@ def test_unknown_option_is_a_usage_error(capsys):
 
 
 def test_broken_invariant_exits_3(capsys, monkeypatch):
-    # a Del Pezzo family tag that contradicts the derived locus kind
-    monkeypatch.setattr(delpezzo, "atlas_case_for", lambda a: ("forced", "bogus"))
+    # with every draw on the scroll, sampling inside a locus gives up
+    monkeypatch.setattr(delpezzo, "contains", lambda spec, ctx, p: True)
     code, out = run_cli(capsys, "atlas", "--max-deg", "3", "--verify-samples", "1")
     assert code == 3
     assert out == ""

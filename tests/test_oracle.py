@@ -120,12 +120,12 @@ def test_points_off_the_base_field_are_rejected():
     coordinate of GF(q^2) outside GF(q) mod q, so the fast and brute sides
     would agree on the locus of another point.  Every entry point that reads
     p that way rejects such a point; these are TwoPoints over GF(49)."""
-    from scrollsec import DimensionMismatchError, classify_signature
+    from scrollsec import DimensionMismatchError, classify_with_data
     from scrollsec.secant import fiber_secant_space
 
     s3, f49 = scroll_new([3]), field_make(7, 2)
     for p in ((1, 0, 9, 0), (1, 2, 10, 3), (0, 1, 0, 15)):
-        assert classify_signature(s3, f49, p).label == "TwoPoints"
+        assert classify_with_data(s3, f49, p)[0].label == "TwoPoints"
         for read in (secant_locus_points, brute_secant_locus, brute_membership, check_lift_equalities):
             with pytest.raises(DimensionMismatchError):
                 read(s3, f49, p)

@@ -12,7 +12,6 @@ from scrollsec import (
     QForm,
     UnclassifiableSignatureError,
     ZeroVectorError,
-    classify_signature,
     classify_with_data,
     contains,
     field_make,
@@ -188,29 +187,29 @@ def _proj_coeffs(ctx, k):
 
 
 def test_classify_spec_examples(f7, s3):
-    sig = classify_signature(s3, f7, (1, 0, 0, 1))
+    sig = classify_with_data(s3, f7, (1, 0, 0, 1))[0]
     assert (sig.s, sig.rank, sig.label) == (1, 2, "TwoPoints")
     assert sig.depth_pred == 2
 
     cone = scroll_new([3], 0)
-    sig_cone = classify_signature(cone, f7, (0, 1, 0, 0, 1))
+    sig_cone = classify_with_data(cone, f7, (0, 1, 0, 0, 1))[0]
     assert (sig_cone.s, sig_cone.rank) == (1, 2)
     assert sig_cone.label == "TwoPoints"
     assert sig_cone.locus_dim == 1
     assert sig_cone.depth_pred == 3
 
     s12 = scroll_new([1, 2])
-    sig_conic = classify_signature(s12, f7, (0, 0, 1, 0, 6))
+    sig_conic = classify_with_data(s12, f7, (0, 0, 1, 0, 6))[0]
     assert (sig_conic.s, sig_conic.rank, sig_conic.label) == (2, 3, "Conic")
     assert sig_conic.depth_pred == 3
 
 
 def test_classify_rejects_point_on_scroll(f7, s3):
     with pytest.raises(PointOnVarietyError):
-        classify_signature(s3, f7, (1, 0, 0, 0))
+        classify_with_data(s3, f7, (1, 0, 0, 0))[0]
     cone = scroll_new([3], 0)
     with pytest.raises(PointOnVarietyError):
-        classify_signature(cone, f7, (1, 0, 0, 0, 0))
+        classify_with_data(cone, f7, (1, 0, 0, 0, 0))[0]
 
 
 def test_classify_validates_the_point(f7, s3):
@@ -235,7 +234,7 @@ def test_conjugate_two_points_needs_extension():
     p = tuple(f25.add(a, b) for a, b in zip(q1, q2))
     assert all(x < f25.q for x in p)  # prime-field elements are their own packing
     assert not contains(s3, f5, p)
-    sig = classify_signature(s3, f5, p)
+    sig = classify_with_data(s3, f5, p)[0]
     assert sig.label == "TwoPoints"
     # the chord is visible only over GF(q^2): its two points are conjugate
     assert secant_locus_points(s3, f5, p) == set()
@@ -286,7 +285,7 @@ def test_conjugate_chords_never_classify_empty():
                 if contains(spec, ctx, p):
                     continue
                 found += 1
-                sig = classify_signature(spec, ctx, p)
+                sig = classify_with_data(spec, ctx, p)[0]
                 assert sig.label != "Empty2Z", (q, a, h, p)
 
 
@@ -300,7 +299,7 @@ def test_six_types_only_and_depth_identity():
             spec = scroll_new(a, h)
             for _ in range(40):
                 p = external_point(spec, f101, rng)
-                sig = classify_signature(spec, f101, p)
+                sig = classify_with_data(spec, f101, p)[0]
                 assert (sig.s, sig.rank) in SIGNATURE_TABLE
                 seen.add(sig.label)
                 assert sig.depth_pred == sig.sec_dim + 1
@@ -338,8 +337,8 @@ def test_cone_and_base_signatures_agree():
                 pbar = p[cone.vertex_size:]
                 if not any(pbar) or contains(base, f7, normalize_point(f7, pbar)):
                     continue
-                sig_cone = classify_signature(cone, f7, p)
-                sig_base = classify_signature(base, f7, normalize_point(f7, pbar))
+                sig_cone = classify_with_data(cone, f7, p)[0]
+                sig_base = classify_with_data(base, f7, normalize_point(f7, pbar))[0]
                 assert (sig_cone.s, sig_cone.rank) == (sig_base.s, sig_base.rank)
                 assert sig_cone.label == sig_base.label
                 assert sig_cone.locus_dim == sig_base.locus_dim + (cone.h + 1)
@@ -510,7 +509,7 @@ def test_pencil_solve_at_each_rank_of_the_row_matrix(a, p, rank):
     blocks = [p[start:start + ai + 1] for start, ai in zip(starts, a)]
     rows = [(2 * x[j + 1] % 7, x[j + 2], -x[j] % 7) for x in blocks for j in range(len(x) - 2)]
     assert row_reduce(ctx, rows, 3)[0] == rank
-    assert classify_signature(spec, ctx, p).s == 3 - rank
+    assert classify_with_data(spec, ctx, p)[0].s == 3 - rank
     _check_against_the_reference(spec, ctx, p)
 
 
@@ -518,9 +517,9 @@ def test_analysis_work_per_point_on_the_matrix_specs(monkeypatch):
     """Counts of one analysis that no host changes, on seeded external points
     of the 33 specs of the acceptance matrix at q = 10007.  A one-point cone
     (s = 0) restricts one generator, g0, and a larger cone all C(d, 2) for
-    the guard.  The RREF passes are the solve of W n sl2, the echelon form of
-    its kernel when it has one, the images of the kernel for K, the cone and
-    the quadric's rank: four when s = 0, five otherwise."""
+    the guard.  The RREF passes are the solve of W n sl2, and when its kernel
+    is not zero the echelon form of that kernel and of its images for K, then
+    the cone and the quadric's rank: three when s = 0, five otherwise."""
     from scrollsec import exactfield, secant
     from scrollsec.exactfield import Binomial
 
@@ -544,7 +543,7 @@ def test_analysis_work_per_point_on_the_matrix_specs(monkeypatch):
                 secant._analysis.cache_clear()
                 counts.update(restrict=0, _rref=0)
                 s = classify_with_data(spec, ctx, p)[0].s
-                expected = {"restrict": 1, "_rref": 4} if s == 0 else {"restrict": math.comb(sum(a), 2), "_rref": 5}
+                expected = {"restrict": 1, "_rref": 3} if s == 0 else {"restrict": math.comb(sum(a), 2), "_rref": 5}
                 assert counts == expected, (a, h, p)
                 one_point += s == 0
                 larger += s > 0
@@ -642,7 +641,7 @@ def test_one_point_cuts_take_no_packed_array_products(monkeypatch, f7, s3):
 
     f49 = field_make(7, 2)
     p = (1, 0, 0, 1)
-    assert classify_signature(s3, f7, p).label == "TwoPoints"
+    assert classify_with_data(s3, f7, p)[0].label == "TwoPoints"
     expected = {(1, 0, 0, 0), (0, 0, 0, 1)}
     assert secant_locus_points(s3, f49, p) == expected
     real_mul = FieldCtx.mul
@@ -687,7 +686,7 @@ def test_analysis_refuses_non_proportional_generator_restrictions(monkeypatch, f
     s4, empty2z = scroll_new([4]), (1, 0, 0, 1, 1)
     secant._analysis.cache_clear()
     for a, p, label in GUARD_CASES:
-        assert classify_signature(scroll_new(a), f7, p).label == label
+        assert classify_with_data(scroll_new(a), f7, p)[0].label == label
     true_analysis = classify_with_data(s4, f7, empty2z)
     assert true_analysis[0].label == "Empty2Z"
     real = secant.quadric_generators
@@ -770,7 +769,6 @@ _POINT_CONTRACT = [
     ("locus_member", ("U",), (), True, False),
     ("locus_member", ("sec",), (), False, False),
     ("secant_pair_test", (), ((0, 1, 0, 0, 0, 0),), False, False),
-    ("classify_signature", (), (), False, False),
     ("classify_with_data", (), (), False, False),
     ("member_tangent", (), (), False, False),
     ("member_secant_variety", (), (), False, False),

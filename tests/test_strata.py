@@ -6,7 +6,6 @@ import pytest
 from conftest import external_point
 from scrollsec import (
     PointOnVarietyError,
-    classify_signature,
     classify_with_data,
     contains,
     embed,
@@ -88,7 +87,7 @@ def test_member_secant_examples(f7, s3):
         p = external_point(s14, f7, rng)
         if not member_secant_variety(s14, f7, p):
             found_outside = True
-            sig = classify_signature(s14, f7, p)
+            sig = classify_with_data(s14, f7, p)[0]
             assert sig.label == "Empty2Z"
             # brute-force confirmation that the locus really is empty
             from scrollsec import brute_secant_locus
@@ -153,15 +152,15 @@ def test_small_type_dimension_laws():
     rng = random.Random(7)
     s12 = scroll_new([1, 2])
     for _ in range(50):
-        sig = classify_signature(s12, f101, external_point(s12, f101, rng))
+        sig = classify_with_data(s12, f101, external_point(s12, f101, rng))[0]
         assert sig.locus_dim == 1
     s112 = scroll_new([1, 1, 2])
     for _ in range(50):
-        sig = classify_signature(s112, f101, external_point(s112, f101, rng))
+        sig = classify_with_data(s112, f101, external_point(s112, f101, rng))[0]
         assert sig.locus_dim >= 1
     s1111 = scroll_new([1, 1, 1, 1])
     for _ in range(50):
-        sig = classify_signature(s1111, f101, external_point(s1111, f101, rng))
+        sig = classify_with_data(s1111, f101, external_point(s1111, f101, rng))[0]
         assert sig.label == "QuadricSurface"
 
 
